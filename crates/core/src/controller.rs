@@ -198,6 +198,24 @@ impl MetricAccum {
     }
 }
 
+/// What a run or segment realized: the first non-empty of its testing,
+/// sampling and baseline windows. Testing is empty when the budget ran
+/// out before it began; sampling is empty on a warm start, which skips
+/// it. Falling through keeps an empty accumulator (IPC 0, infinite
+/// lifetime) out of the report whenever any window was measured.
+fn realized(
+    wear_budget: f64,
+    testing: &MetricAccum,
+    sampling: &MetricAccum,
+    baseline: &MetricAccum,
+) -> Metrics {
+    [testing, sampling, baseline]
+        .into_iter()
+        .find(|a| !a.is_empty())
+        .unwrap_or(testing)
+        .metrics(wear_budget)
+}
+
 /// Report for one sampling→optimize→test segment (one detected phase).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SegmentReport {
@@ -470,6 +488,7 @@ impl Controller {
         let mut segments: Vec<SegmentReport> = Vec::new();
         let mut total_sampling = MetricAccum::default();
         let mut total_testing = MetricAccum::default();
+        let mut total_baseline = MetricAccum::default();
         let mut executed: u64 = 0;
         let mut last_baseline = Metrics {
             ipc: 1.0,
@@ -529,6 +548,9 @@ impl Controller {
             }
             executed += self.cfg.baseline_insts;
             last_baseline = baseline_stats.metrics();
+            let mut seg_baseline = MetricAccum::default();
+            seg_baseline.add(&baseline_stats);
+            total_baseline.add(&baseline_stats);
             self.telemetry.finish_stage(baseline_timer, executed);
             self.telemetry.close_span(baseline_span, executed);
             if self.telemetry.enabled() {
@@ -1074,29 +1096,21 @@ impl Controller {
             last_segment_healthy = seg_health_ok;
             self.telemetry.finish_stage(testing_timer, executed);
             self.telemetry.close_span(testing_span, executed);
+            let seg_testing_metrics =
+                realized(wear_budget, &seg_testing, &seg_sampling, &seg_baseline);
             if self.telemetry.enabled() {
-                let realized = if seg_testing.is_empty() {
-                    seg_sampling.metrics(wear_budget)
-                } else {
-                    seg_testing.metrics(wear_budget)
-                };
                 self.telemetry.emit(
                     executed,
                     Event::SegmentCompleted {
                         segment: segments.len() as u64,
                         config: chosen.to_string(),
                         predicted: (!opt.fell_back).then_some(opt.predicted),
-                        realized,
+                        realized: seg_testing_metrics,
                         insts: seg_sampling.insts + seg_testing.insts,
                     },
                 );
             }
 
-            let seg_testing_metrics = if seg_testing.is_empty() {
-                seg_sampling.metrics(wear_budget)
-            } else {
-                seg_testing.metrics(wear_budget)
-            };
             persist_emit(
                 &mut persist,
                 StateRecord::WearDelta {
@@ -1145,11 +1159,12 @@ impl Controller {
             self.telemetry.close_span(segment_span, executed);
         }
 
-        let final_metrics = if total_testing.is_empty() {
-            total_sampling.metrics(wear_budget)
-        } else {
-            total_testing.metrics(wear_budget)
-        };
+        let final_metrics = realized(
+            wear_budget,
+            &total_testing,
+            &total_sampling,
+            &total_baseline,
+        );
         persist_emit(
             &mut persist,
             StateRecord::RunCompleted {

@@ -10,13 +10,13 @@
 use std::io::{self, Write};
 
 use mct_core::{ConfigSpace, MetricsPredictor, ModelKind};
-use mct_ml::coefficient_of_determination;
 use mct_workloads::Workload;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use super::objective_r2;
 use crate::cache::{load_or_compute_sweeps, strided_configs, SweepDataset, SweepRequest};
 use crate::report::Table;
 use crate::runner::EXPERIMENT_SEED;
@@ -24,9 +24,9 @@ use crate::scale::Scale;
 
 const WORKLOADS: [Workload; 3] = [Workload::Lbm, Workload::Leslie3d, Workload::Stream];
 
-/// Train on one member per primary-feature class; score R^2 over the
-/// whole dataset.
-fn accuracy(ds: &SweepDataset, dim: usize, seed: u64) -> f64 {
+/// Train on one member per primary-feature class; score IPC, lifetime
+/// and energy R^2 over the whole dataset.
+fn accuracy(ds: &SweepDataset, seed: u64) -> [f64; 3] {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut classes: Vec<(String, Vec<usize>)> = Vec::new();
     for (i, c) in ds.configs.iter().enumerate() {
@@ -49,18 +49,7 @@ fn accuracy(ds: &SweepDataset, dim: usize, seed: u64) -> f64 {
         .collect();
     let mut predictor = MetricsPredictor::new(ModelKind::GradientBoosting);
     predictor.fit(&train, None);
-    let clamp = mct_core::predictor::LIFETIME_CLAMP_YEARS;
-    let preds: Vec<f64> = ds
-        .configs
-        .iter()
-        .map(|c| predictor.predict(c).to_array()[dim])
-        .collect();
-    let truth: Vec<f64> = ds
-        .metrics
-        .iter()
-        .map(|m| m.to_array()[dim].min(clamp))
-        .collect();
-    coefficient_of_determination(&preds, &truth)
+    objective_r2(&predictor, ds, 0..ds.configs.len())
 }
 
 /// Render Figure 3.
@@ -88,6 +77,8 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         });
     }
     let datasets = load_or_compute_sweeps(&requests, scale, EXPERIMENT_SEED);
+    // One fit per dataset scores both reported objectives.
+    let r2: Vec<[f64; 3]> = datasets.iter().map(|ds| accuracy(ds, 11)).collect();
 
     for (dim, obj) in ["ipc", "energy"]
         .iter()
@@ -102,10 +93,8 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
             "degradation",
         ]);
         for (wi, w) in WORKLOADS.into_iter().enumerate() {
-            let ds_free = &datasets[2 * wi];
-            let ds_full = &datasets[2 * wi + 1];
-            let free_r2 = accuracy(ds_free, dim, 11);
-            let full_r2 = accuracy(ds_full, dim, 11);
+            let free_r2 = r2[2 * wi][dim];
+            let full_r2 = r2[2 * wi + 1][dim];
             table.row([
                 w.name().to_string(),
                 format!("{free_r2:.3}"),

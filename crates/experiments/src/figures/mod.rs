@@ -11,10 +11,12 @@
 
 use std::io::{self, Write};
 
-use mct_core::{Controller, ControllerConfig, ModelKind, Objective, Outcome};
+use mct_core::predictor::LIFETIME_CLAMP_YEARS;
+use mct_core::{Controller, ControllerConfig, MetricsPredictor, ModelKind, Objective, Outcome};
+use mct_ml::coefficient_of_determination;
 use mct_workloads::Workload;
 
-use crate::cache::{derived_key, derived_store};
+use crate::cache::{derived_key, derived_store, SweepDataset};
 use crate::scale::Scale;
 
 pub mod calibrate;
@@ -79,6 +81,28 @@ pub(crate) fn cached_mct_outcome(
         let mut controller = Controller::new(cfg, Objective::paper_default(target_years));
         controller.run(&mut w.source(seed))
     })
+}
+
+/// R^2 of one fitted predictor on the `eval` rows of `ds`, for IPC,
+/// lifetime and energy (paper Eq. 3), with the truth clamped at
+/// [`LIFETIME_CLAMP_YEARS`]. A fit trains all three objectives at once,
+/// so every accuracy figure scores them from one fit instead of
+/// refitting per objective.
+pub(crate) fn objective_r2(
+    predictor: &MetricsPredictor,
+    ds: &SweepDataset,
+    eval: impl Iterator<Item = usize>,
+) -> [f64; 3] {
+    let (mut preds, mut truth): ([Vec<f64>; 3], [Vec<f64>; 3]) = Default::default();
+    for i in eval {
+        let p = predictor.predict(&ds.configs[i]).to_array();
+        let t = ds.metrics[i].to_array();
+        for dim in 0..3 {
+            preds[dim].push(p[dim]);
+            truth[dim].push(t[dim].min(LIFETIME_CLAMP_YEARS));
+        }
+    }
+    std::array::from_fn(|dim| coefficient_of_determination(&preds[dim], &truth[dim]))
 }
 
 /// Geometric mean (shared by several figures' headline numbers).

@@ -283,6 +283,43 @@ fn clean_log_warm_starts_and_skips_sampling() {
     );
 }
 
+/// A warm start with a budget too small for any testing window (as
+/// `mct run <wl> --insts 200000 --resume` builds it) must still report
+/// what it measured, not the empty accumulator's IPC 0 and infinite
+/// lifetime.
+#[test]
+fn small_budget_warm_start_reports_measured_metrics() {
+    for workload in [Workload::Ocean, Workload::Zeusmp, Workload::Libquantum] {
+        let dir = TempDir::new("mct-warm-small");
+        let dir = dir.path().display().to_string();
+        let run = |resume: bool| {
+            let mut cfg = ControllerConfig::paper_scaled();
+            cfg.total_insts = 200_000;
+            cfg.warmup_insts = workload.warmup_insts();
+            cfg.seed = SEED;
+            cfg.persist = Some(if resume {
+                PersistConfig::resume_from(&dir)
+            } else {
+                PersistConfig::fresh(&dir)
+            });
+            Controller::new(cfg, Objective::paper_default(8.0)).run(&mut workload.source(SEED))
+        };
+        let cold = run(false);
+        let warm = run(true);
+        assert_eq!(warm.sampling_insts, 0, "{workload}: must warm-start");
+        assert_eq!(warm.testing_insts, 0, "{workload}: no testing window fits");
+        for (label, m) in [("cold", cold.final_metrics), ("warm", warm.final_metrics)] {
+            assert!(
+                m.ipc > 0.0 && m.lifetime_years.is_finite() && m.energy_j > 0.0,
+                "{workload} {label}: reported an unmeasured window: {m:?}"
+            );
+        }
+        for seg in &warm.segments {
+            assert!(seg.testing.ipc > 0.0, "{workload}: segment reports IPC 0");
+        }
+    }
+}
+
 /// Resuming under a different run identity (here: a different seed) must
 /// fail loudly before any state is touched, not silently diverge.
 #[test]
