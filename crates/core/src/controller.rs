@@ -420,10 +420,7 @@ impl Controller {
             session
         });
         let warmup_span = self.telemetry.span("warmup", 0);
-        let warmup_timer = self.telemetry.stage("warmup", 0);
         sys.warmup(source, self.cfg.warmup_insts);
-        self.telemetry
-            .finish_stage(warmup_timer, self.cfg.warmup_insts);
         // Span clocks stay at 0 through warmup: the trace's `sim_insts`
         // is the *measured* instruction clock (`executed`), which starts
         // after warmup. Wall time still captures the warmup cost.
@@ -526,7 +523,6 @@ impl Controller {
 
             // --- Baseline measurement (normalization reference). ---
             let baseline_span = self.telemetry.span("baseline", executed);
-            let baseline_timer = self.telemetry.stage("baseline", executed);
             let mut baseline_stats = self.measure(
                 &mut sys,
                 source,
@@ -551,7 +547,6 @@ impl Controller {
             let mut seg_baseline = MetricAccum::default();
             seg_baseline.add(&baseline_stats);
             total_baseline.add(&baseline_stats);
-            self.telemetry.finish_stage(baseline_timer, executed);
             self.telemetry.close_span(baseline_span, executed);
             if self.telemetry.enabled() {
                 self.telemetry.emit(
@@ -629,7 +624,6 @@ impl Controller {
                 }
             } else {
                 let sampling_span = self.telemetry.span("sampling", executed);
-                let sampling_timer = self.telemetry.stage("sampling", executed);
                 for round in 0..rounds {
                     let round_span = self.telemetry.span("sampling.round", executed);
                     for (i, cfg) in self.samples.clone().into_iter().enumerate() {
@@ -653,7 +647,6 @@ impl Controller {
                         );
                     }
                 }
-                self.telemetry.finish_stage(sampling_timer, executed);
                 self.telemetry.close_span(sampling_span, executed);
             }
             // With sampling skipped, an all-zero sample set would poison
@@ -688,9 +681,10 @@ impl Controller {
 
             // --- Prediction over the full space. ---
             // Decision latency (fit + predict_all + optimize, host time)
-            // accumulates across the two spans so the diagnostics block
-            // between them — refits, lasso reports — is not charged to it.
-            let mut decision_us = 0.0;
+            // is the sum of the fit, predict and decide span durations,
+            // so the diagnostics block between them — refits, lasso
+            // reports — is not charged to it.
+            let mut decision_us = 0;
             // Crash recovery: a fresh fit inside the replayed prefix
             // restores its persisted model instead of refitting, pinning
             // the save/restore path to the bit-identical-decisions
@@ -732,17 +726,9 @@ impl Controller {
                 // mct-tidy: allow(P003) -- fit_elided implies a banked hit
                 let predictor = &fit_cache[cache_hit.expect("elision requires a cached fit")].1;
                 let predict_span = self.telemetry.span("predict", executed);
-                // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
-                let decision_start = self.telemetry.enabled().then(std::time::Instant::now);
                 predictions = predictor.predict_all(&self.space);
-                self.telemetry.close_span(predict_span, executed);
-                if let Some(start) = decision_start {
-                    decision_us += start.elapsed().as_secs_f64() * 1e6;
-                }
+                decision_us += self.telemetry.close_span(predict_span, executed);
             } else {
-                let fit_timer = self.telemetry.stage("fit", executed);
-                // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
-                let decision_start = self.telemetry.enabled().then(std::time::Instant::now);
                 let fit_span = self.telemetry.span_with(
                     "fit",
                     executed,
@@ -778,14 +764,10 @@ impl Controller {
                         model: predictor.save_state(),
                     },
                 );
-                self.telemetry.close_span(fit_span, executed);
+                decision_us += self.telemetry.close_span(fit_span, executed);
                 let predict_span = self.telemetry.span("predict", executed);
                 predictions = predictor.predict_all(&self.space);
-                self.telemetry.close_span(predict_span, executed);
-                if let Some(start) = decision_start {
-                    decision_us += start.elapsed().as_secs_f64() * 1e6;
-                }
-                self.telemetry.finish_stage(fit_timer, executed);
+                decision_us += self.telemetry.close_span(predict_span, executed);
                 if self.telemetry.enabled() {
                     // Diagnostics-only work (k-fold refits, a lasso report)
                     // runs solely when a recorder is attached.
@@ -825,10 +807,7 @@ impl Controller {
             }
 
             // --- Constrained optimization + wear-quota fixup. ---
-            let optimize_timer = self.telemetry.stage("optimize", executed);
             let decide_span = self.telemetry.span("decide", executed);
-            // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
-            let decision_start = self.telemetry.enabled().then(std::time::Instant::now);
             let mut opt = optimize(
                 &self.space,
                 &predictions,
@@ -837,18 +816,15 @@ impl Controller {
                 self.cfg.quota_fixup,
             );
             chosen = opt.config;
-            if let Some(start) = decision_start {
-                decision_us += start.elapsed().as_secs_f64() * 1e6;
-                self.telemetry.observe("decision.latency_us", decision_us);
+            decision_us += self.telemetry.close_span(decide_span, executed);
+            if self.telemetry.enabled() {
+                self.telemetry
+                    .observe("decision.latency_us", decision_us as f64);
                 self.telemetry.observe_with(
                     "decision.latency_us",
                     &[("learner", self.cfg.model.short_label())],
-                    decision_us,
+                    decision_us as f64,
                 );
-            }
-            self.telemetry.close_span(decide_span, executed);
-            self.telemetry.finish_stage(optimize_timer, executed);
-            if self.telemetry.enabled() {
                 if opt.fell_back {
                     self.telemetry.incr("optimizer_fallbacks", 1);
                 }
@@ -890,7 +866,6 @@ impl Controller {
             sys.reset_stats();
             detector.reset();
             let testing_span = self.telemetry.span("testing", executed);
-            let testing_timer = self.telemetry.stage("testing", executed);
             let mut seg_testing = MetricAccum::default();
             let mut health_fallback = false;
             let mut seg_health_ok = true;
@@ -1094,7 +1069,6 @@ impl Controller {
                 snap
             };
             last_segment_healthy = seg_health_ok;
-            self.telemetry.finish_stage(testing_timer, executed);
             self.telemetry.close_span(testing_span, executed);
             let seg_testing_metrics =
                 realized(wear_budget, &seg_testing, &seg_sampling, &seg_baseline);
@@ -1226,9 +1200,10 @@ impl Controller {
     ///
     /// With a recorder attached, each window also feeds the registry's
     /// `sim.accesses` counter and `sim.accesses_per_sec` histogram (host
-    /// wall-clock simulator throughput), and the measured region is
-    /// wrapped in a `sim.window` leaf span — the profiler's view of raw
-    /// simulator time under whichever stage requested the window.
+    /// wall-clock simulator throughput over the span's duration), and the
+    /// measured region is wrapped in a `sim.window` leaf span — the
+    /// profiler's view of raw simulator time under whichever stage
+    /// requested the window.
     fn measure<S: AccessSource>(
         &mut self,
         sys: &mut System,
@@ -1248,22 +1223,22 @@ impl Controller {
         // Both span edges carry the caller's `executed` clock: the caller
         // only advances it after the window returns, and constant edges
         // keep the trace's sim_insts monotone. Duration lives in wall_us.
-        let probe = self.telemetry.enabled().then(|| {
-            let span = self.telemetry.span("sim.window", executed);
-            // mct-tidy: allow(D002) -- telemetry-gated latency probe; never feeds results
-            (span, std::time::Instant::now())
-        });
+        let probe = self
+            .telemetry
+            .enabled()
+            .then(|| self.telemetry.span("sim.window", executed));
         sys.run_window(source, insts);
         let stats = sys.finalize();
         sys.reset_stats();
-        if let Some((window_span, start)) = probe {
-            self.telemetry.close_span(window_span, executed);
+        if let Some(window_span) = probe {
+            let host_us = self.telemetry.close_span(window_span, executed);
             let accesses = stats.mem.reads_completed + stats.mem.writes_completed();
             self.telemetry.incr("sim.accesses", accesses);
-            let host_secs = start.elapsed().as_secs_f64();
-            if host_secs > 0.0 && accesses > 0 {
-                self.telemetry
-                    .observe("sim.accesses_per_sec", accesses as f64 / host_secs);
+            if host_us > 0 && accesses > 0 {
+                self.telemetry.observe(
+                    "sim.accesses_per_sec",
+                    accesses as f64 * 1e6 / host_us as f64,
+                );
             }
         }
         stats

@@ -46,7 +46,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use mct_ml::SavedRegressor;
-use mct_persist::{fnv1a64, CrashPoint, PersistError, Replay, StateStore, TornTail};
+use mct_persist::{CrashPoint, PersistError, Replay, StateStore, TornTail};
 use mct_sim::stats::Metrics;
 use mct_sim::WearSnapshot;
 
@@ -54,6 +54,9 @@ use crate::config::NvmConfig;
 use crate::controller::ControllerConfig;
 use crate::degrade::DegradationStage;
 use crate::predictor::ModelKind;
+
+/// The workspace's one content hash, shared with the experiment cache.
+pub use mct_persist::fnv1a64;
 
 /// Version of the typed record schema layered on the container format
 /// ([`mct_persist::FORMAT_VERSION`] guards the byte layout; this guards

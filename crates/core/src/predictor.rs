@@ -190,19 +190,16 @@ impl MetricsPredictor {
     /// Panics if `samples` is empty, or if the kind needs an offline
     /// corpus that was not provided.
     pub fn fit(&mut self, samples: &[(NvmConfig, Metrics)], baseline: Option<Metrics>) {
-        assert!(!samples.is_empty(), "need at least one sample");
-        self.baseline = baseline;
-        let (rows, target_arrays) = self.build_training_matrix(samples);
-        self.fit_models(rows, target_arrays);
-        self.fitted = true;
+        self.fit_traced(samples, baseline, &mut Telemetry::disabled(), 0);
     }
 
     /// [`MetricsPredictor::fit`] with span instrumentation: the feature /
     /// target build and the per-objective model fits are wrapped in
     /// `fit.features` and `fit.model` child spans (the latter labeled with
     /// the learner), so `mct profile` can apportion fit time between
-    /// feature expansion and the regressors themselves. Identical
-    /// computation to the untraced path — spans only observe.
+    /// feature expansion and the regressors themselves. This is the only
+    /// fit body: `fit` runs it with disabled telemetry, where each span
+    /// is one branch — spans only observe.
     ///
     /// # Panics
     /// Same contract as [`MetricsPredictor::fit`].
@@ -216,37 +213,28 @@ impl MetricsPredictor {
         assert!(!samples.is_empty(), "need at least one sample");
         self.baseline = baseline;
         let feat_span = telemetry.span("fit.features", sim_insts);
-        let (rows, target_arrays) = self.build_training_matrix(samples);
+        let rows: Vec<Vec<f64>> = samples.iter().map(|(c, _)| self.features(c)).collect();
+        let targets: Vec<[f64; 3]> = samples.iter().map(|(_, m)| self.target(m)).collect();
         telemetry.close_span(feat_span, sim_insts);
         let model_span = telemetry.span_with(
             "fit.model",
             sim_insts,
             &[("learner", self.kind.short_label())],
         );
-        self.fit_models(rows, target_arrays);
+        self.fit_models(rows, targets);
         telemetry.close_span(model_span, sim_insts);
         self.fitted = true;
     }
 
-    /// Feature rows and (optionally baseline-normalized) target triples
-    /// for the runtime samples. Requires `self.baseline` already set.
-    fn build_training_matrix(
-        &self,
-        samples: &[(NvmConfig, Metrics)],
-    ) -> (Vec<Vec<f64>>, Vec<[f64; 3]>) {
-        let rows: Vec<Vec<f64>> = samples.iter().map(|(c, _)| self.features(c)).collect();
-        let to_target = |m: &Metrics| -> Metrics {
-            let c = Self::clamp(m);
-            match &self.baseline {
-                Some(b) => c.normalized_to(&Self::clamp(b)),
-                None => c,
-            }
-        };
-        let target_arrays: Vec<[f64; 3]> = samples
-            .iter()
-            .map(|(_, m)| to_target(m).to_array())
-            .collect();
-        (rows, target_arrays)
+    /// One sample's metric triple in the training target space: clamped,
+    /// and normalized to the baseline when one is set.
+    fn target(&self, m: &Metrics) -> [f64; 3] {
+        let c = Self::clamp(m);
+        match &self.baseline {
+            Some(b) => c.normalized_to(&Self::clamp(b)),
+            None => c,
+        }
+        .to_array()
     }
 
     /// Fit the three per-objective regressors from prepared rows/targets.
@@ -256,13 +244,8 @@ impl MetricsPredictor {
                 assert!(!self.corpus.is_empty(), "offline kind needs a corpus");
                 self.models = (0..3)
                     .map(|dim| {
-                        let apps: Vec<Dataset> = self
-                            .corpus
-                            .iter()
-                            .map(|app| self.corpus_dataset(app, dim))
-                            .collect();
                         let mut m = OfflineMeanPredictor::new();
-                        m.fit_applications(&apps);
+                        m.fit_applications(&self.corpus_datasets(dim));
                         Box::new(m) as Box<dyn Regressor + Send>
                     })
                     .collect();
@@ -271,12 +254,8 @@ impl MetricsPredictor {
                 assert!(!self.corpus.is_empty(), "hierarchical kind needs a corpus");
                 self.models = (0..3)
                     .map(|dim| {
-                        let apps: Vec<Dataset> = self
-                            .corpus
-                            .iter()
-                            .map(|app| self.corpus_dataset(app, dim))
-                            .collect();
-                        let mut m = HierarchicalPredictor::from_applications(&apps);
+                        let mut m =
+                            HierarchicalPredictor::from_applications(&self.corpus_datasets(dim));
                         let y: Vec<f64> = target_arrays.iter().map(|a| a[dim]).collect();
                         m.fit(&Dataset::from_rows(rows.clone(), y));
                         Box::new(m) as Box<dyn Regressor + Send>
@@ -296,22 +275,17 @@ impl MetricsPredictor {
         }
     }
 
-    /// Build the corpus dataset for one objective dimension, in the same
-    /// (normalized) target space as the runtime samples.
-    fn corpus_dataset(&self, app: &AppCorpus, dim: usize) -> Dataset {
-        let rows: Vec<Vec<f64>> = app.iter().map(|(c, _)| self.features(c)).collect();
-        let y: Vec<f64> = app
+    /// One dataset per corpus application for one objective dimension, in
+    /// the same (normalized) target space as the runtime samples.
+    fn corpus_datasets(&self, dim: usize) -> Vec<Dataset> {
+        self.corpus
             .iter()
-            .map(|(_, m)| {
-                let c = Self::clamp(m);
-                let t = match &self.baseline {
-                    Some(b) => c.normalized_to(&Self::clamp(b)),
-                    None => c,
-                };
-                t.to_array()[dim]
+            .map(|app| {
+                let rows = app.iter().map(|(c, _)| self.features(c)).collect();
+                let y = app.iter().map(|(_, m)| self.target(m)[dim]).collect();
+                Dataset::from_rows(rows, y)
             })
-            .collect();
-        Dataset::from_rows(rows, y)
+            .collect()
     }
 
     /// Predict the metric triple for one configuration (denormalized back

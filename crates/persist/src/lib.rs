@@ -196,3 +196,16 @@ impl PersistError {
         PersistError::Io(format!("{op} {}: {err}", path.display()))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a64;
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

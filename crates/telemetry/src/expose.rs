@@ -4,8 +4,8 @@
 //! Prometheus text format (version 0.0.4): counters become
 //! `mct_<name>_total` counter families, histogram summaries become
 //! summary families with `quantile` labels plus `_sum`/`_count`
-//! children. Internal dotted names (`stage.fit.wall_us`) are sanitized
-//! into the Prometheus alphabet (`mct_stage_fit_wall_us`).
+//! children. Internal dotted names (`decision.latency_us`) are sanitized
+//! into the Prometheus alphabet (`mct_decision_latency_us`).
 //!
 //! This is what `mct run --metrics-out` writes and `mct metrics --prom`
 //! prints, and — once `mct-serve` lands — what its `/metrics` endpoint

@@ -12,8 +12,8 @@
 //!   `mct profile`;
 //! - [`registry`]: label-aware counters and log-bucketed histograms
 //!   ([`histogram`]) for how much work the adaptive machinery did
-//!   (samples taken, refits, fallbacks, per-stage instruction and
-//!   wall-clock budgets), with bounded label cardinality;
+//!   (samples taken, refits, fallbacks, per-span wall-clock durations),
+//!   with bounded label cardinality;
 //! - [`pipeline`]: process-wide counters for the experiment pipeline —
 //!   scheduler grains (executed/stolen), measurement-cache hits and
 //!   discards, and warm-rig snapshot reuse;
@@ -47,6 +47,6 @@ pub use profile::{render_collapsed, render_tree, SpanProfile};
 pub use recorder::{
     null_recorder, JsonlRecorder, NullRecorder, Recorder, RecorderHandle, Telemetry, VecRecorder,
 };
-pub use registry::{Registry, RegistrySnapshot, SeriesKey, StageTimer};
+pub use registry::{Registry, RegistrySnapshot, SeriesKey};
 pub use report::{parse_jsonl, parse_jsonl_tolerant, render_report, render_report_with_unknown};
 pub use span::{SpanGuard, SpanId};

@@ -6,7 +6,7 @@
 //! the sink is a [`NullRecorder`].
 
 use crate::event::{Event, Record};
-use crate::registry::{Registry, StageTimer};
+use crate::registry::Registry;
 use crate::span::{SpanGuard, SpanStack};
 use std::io::Write;
 use std::path::Path;
@@ -324,13 +324,20 @@ impl Telemetry {
     /// early-exit path skews one timing instead of corrupting the tree;
     /// closing an already-closed span is a no-op. Each close also lands
     /// in the `span.wall_us{span="<name>"}` duration histogram.
-    pub fn close_span(&mut self, guard: SpanGuard, sim_insts: u64) {
+    ///
+    /// Returns the closed span's own duration in µs — the value observed
+    /// into its histogram — or 0 when disabled or already closed. This is
+    /// the controller's only host clock.
+    pub fn close_span(&mut self, guard: SpanGuard, sim_insts: u64) -> u64 {
         if !self.enabled || !guard.id().is_some() {
-            return;
+            return 0;
         }
         let wall_us = self.origin.elapsed().as_micros() as u64;
+        let mut own_us = 0;
         for span in self.spans.close(guard.id()) {
             let duration_us = wall_us.saturating_sub(span.opened_wall_us);
+            // Drained children close first; the guard's span is last.
+            own_us = duration_us;
             lock_recorder(&self.handle).registry_mut().observe_with(
                 "span.wall_us",
                 &[("span", span.name)],
@@ -345,6 +352,7 @@ impl Telemetry {
                 },
             );
         }
+        own_us
     }
 
     /// Bump a registry counter.
@@ -383,23 +391,6 @@ impl Telemetry {
         lock_recorder(&self.handle)
             .registry_mut()
             .observe_with(name, labels, value);
-    }
-
-    /// Start a stage timer, or `None` when disabled.
-    #[must_use]
-    pub fn stage(&self, stage: &'static str, insts_start: u64) -> Option<StageTimer> {
-        if self.enabled {
-            Some(StageTimer::start(stage, insts_start))
-        } else {
-            None
-        }
-    }
-
-    /// Finish a stage timer started with [`Telemetry::stage`].
-    pub fn finish_stage(&mut self, timer: Option<StageTimer>, insts_end: u64) {
-        if let Some(timer) = timer {
-            timer.finish(lock_recorder(&self.handle).registry_mut(), insts_end);
-        }
     }
 
     /// A snapshot of the attached recorder's registry (empty when
@@ -451,8 +442,6 @@ mod tests {
         assert!(!t.enabled());
         t.emit(0, sample_event());
         t.incr("x", 1);
-        let timer = t.stage("sampling", 0);
-        assert!(timer.is_none());
     }
 
     #[test]
@@ -500,11 +489,23 @@ mod tests {
         let mut t = Telemetry::attached(rec.clone() as RecorderHandle);
         let run = t.span("run", 0);
         let fit = t.span_with("fit", 10, &[("learner", "gbrt")]);
-        t.close_span(fit, 20);
-        t.close_span(run, 30);
+        let fit_id = fit.id();
+        let fit_us = t.close_span(fit, 20);
+        let run_us = t.close_span(run, 30);
+        let again = SpanGuard {
+            id: fit_id,
+            name: "fit",
+        };
+        assert_eq!(t.close_span(again, 40), 0, "a second close is a no-op");
+        // Closing a parent drains its open child but returns the parent's
+        // own duration.
+        let seg = t.span("segment", 50);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let _child = t.span("sampling", 60);
+        let seg_us = t.close_span(seg, 70);
         let guard = rec.lock().expect("lock");
         let records = guard.records();
-        assert_eq!(records.len(), 4);
+        assert_eq!(records.len(), 8);
         match &records[0].event {
             Event::SpanOpen {
                 id,
@@ -534,11 +535,24 @@ mod tests {
         }
         assert!(matches!(&records[2].event, Event::SpanClose { name, .. } if name == "fit"));
         assert!(matches!(&records[3].event, Event::SpanClose { name, .. } if name == "run"));
-        let fit_hist = guard
-            .registry()
-            .histogram_with("span.wall_us", &[("span", "fit")])
-            .expect("fit duration recorded");
-        assert_eq!(fit_hist.count, 1);
+        let wall = |name| {
+            guard
+                .registry()
+                .histogram_with("span.wall_us", &[("span", name)])
+                .expect("duration recorded")
+        };
+        assert_eq!(wall("fit").count, 1);
+        assert_eq!(
+            wall("fit").sum,
+            fit_us as f64,
+            "close returns what it observed"
+        );
+        assert_eq!(wall("run").sum, run_us as f64);
+        assert_eq!(wall("segment").sum, seg_us as f64);
+        assert!(
+            wall("sampling").sum < wall("segment").sum,
+            "child opened 2 ms later"
+        );
     }
 
     #[test]
@@ -546,8 +560,7 @@ mod tests {
         let mut t = Telemetry::disabled();
         let g = t.span("run", 0);
         assert!(!g.id().is_some());
-        t.close_span(g, 10);
-        // Nothing recorded, nothing to assert beyond "did not panic".
+        assert_eq!(t.close_span(g, 10), 0);
     }
 
     #[test]
@@ -571,20 +584,5 @@ mod tests {
             guard.records().last().map(|r| &r.event),
             Some(Event::MetricsRegistry { .. })
         ));
-    }
-
-    #[test]
-    fn stage_timers_flow_into_registry() {
-        let handle = VecRecorder::new().handle();
-        let mut t = Telemetry::attached(Arc::clone(&handle));
-        let timer = t.stage("fit", 100);
-        assert!(timer.is_some());
-        t.finish_stage(timer, 400);
-        let mut guard = handle.lock().expect("lock");
-        let h = guard
-            .registry_mut()
-            .histogram("stage.fit.insts")
-            .expect("recorded");
-        assert_eq!(h.sum, 300.0);
     }
 }

@@ -1,8 +1,8 @@
 //! Label-aware counters and histograms for runtime self-accounting.
 //!
 //! The registry tracks *how much work* the adaptive machinery does —
-//! samples taken, predictor refits, fallbacks, per-stage instruction and
-//! wall-clock budgets — complementing the decision-trace events, which
+//! samples taken, predictor refits, fallbacks, per-span wall-clock
+//! durations — complementing the decision-trace events, which
 //! record *what was decided*.
 //!
 //! Every series is keyed by `(name, labels)`, where labels are a small
@@ -17,7 +17,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 pub use crate::histogram::HistogramSummary;
 use crate::histogram::LogHistogram;
@@ -228,39 +227,6 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<(String, HistogramSummary)>,
 }
 
-/// Measures one pipeline stage's wall-clock and instruction budget.
-///
-/// Create with [`StageTimer::start`] at stage entry, and call
-/// [`StageTimer::finish`] at exit; the elapsed wall time lands in
-/// `stage.<name>.wall_us` and the instruction delta in
-/// `stage.<name>.insts`.
-#[derive(Debug)]
-pub struct StageTimer {
-    stage: &'static str,
-    started: Instant,
-    insts_start: u64,
-}
-
-impl StageTimer {
-    #[must_use]
-    pub fn start(stage: &'static str, insts_start: u64) -> Self {
-        StageTimer {
-            stage,
-            started: Instant::now(),
-            insts_start,
-        }
-    }
-
-    pub fn finish(self, registry: &mut Registry, insts_end: u64) {
-        let wall_us = self.started.elapsed().as_micros() as f64;
-        registry.observe(&format!("stage.{}.wall_us", self.stage), wall_us);
-        registry.observe(
-            &format!("stage.{}.insts", self.stage),
-            insts_end.saturating_sub(self.insts_start) as f64,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,16 +321,5 @@ mod tests {
     fn rendered_keys_escape_label_values() {
         let k = SeriesKey::new("m", &[("path", "a\"b\\c\nd")]);
         assert_eq!(k.render(), "m{path=\"a\\\"b\\\\c\\nd\"}");
-    }
-
-    #[test]
-    fn stage_timer_records_both_budgets() {
-        let mut r = Registry::new();
-        let t = StageTimer::start("sampling", 1_000);
-        t.finish(&mut r, 5_000);
-        let insts = r.histogram("stage.sampling.insts").expect("insts recorded");
-        assert_eq!(insts.count, 1);
-        assert_eq!(insts.sum, 4_000.0);
-        assert!(r.histogram("stage.sampling.wall_us").is_some());
     }
 }
