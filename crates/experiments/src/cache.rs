@@ -22,7 +22,13 @@
 //!
 //! Derived results (controller runs, mix runs) use the same machinery
 //! via [`DerivedStore`]: arbitrary serde values keyed by a label + the
-//! parameters that determine them.
+//! parameters that determine them. Both stores serve lookups through one
+//! hits-first batch path ([`GrainStore::get_or_compute_batch`],
+//! [`DerivedStore::get_or_compute_batch`], and the sweep batches above):
+//! every hit is served serially, then only the misses fan out over one
+//! scheduler round, each recorded from inside its worker. The
+//! single-lookup forms ([`DerivedStore::get_or_compute`],
+//! [`cached_measurement`]) are the one-item case of that path.
 
 use std::collections::HashMap;
 use std::fs;
@@ -86,6 +92,79 @@ pub fn derived_key(label: &str, seed: u64, params: &[f64]) -> u64 {
         bytes.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     fnv1a64(&bytes)
+}
+
+/// Where one lookup of a [`HitsFirst`] batch is served from.
+enum Slot<V> {
+    /// Served from the store.
+    Hit(V),
+    /// Index into the batch's deduplicated misses.
+    Miss(usize),
+}
+
+/// A batch of cached lookups split hits-first: the one path every store
+/// lookup takes, whether it asks for one item or a whole sweep.
+///
+/// [`HitsFirst::plan`] serves every hit at once, serially and in input
+/// order, and queues each distinct missing key once. [`HitsFirst::finish`]
+/// runs only the misses, in one [`run_grains`] round; `compute` runs
+/// inside the worker and records its result, so a killed run keeps every
+/// miss that finished. A key repeated within the batch counts as a hit,
+/// as it would on a serial pass, and an all-hit batch starts no
+/// scheduler round at all. Hits and executed misses feed the pipeline
+/// hit rate, so `hits + executed` equals lookups.
+struct HitsFirst<'a, I, V> {
+    slots: Vec<Slot<V>>,
+    misses: Vec<&'a I>,
+}
+
+impl<'a, I: Sync, V: Clone + Send> HitsFirst<'a, I, V> {
+    fn plan(items: &'a [I], key: impl Fn(&I) -> u64, cached: impl Fn(&I) -> Option<V>) -> Self {
+        let mut queued: HashMap<u64, usize> = HashMap::new();
+        let mut misses = Vec::new();
+        let mut hits = 0u64;
+        let slots = items
+            .iter()
+            .map(|item| {
+                let k = key(item);
+                if let Some(&i) = queued.get(&k) {
+                    hits += 1;
+                    return Slot::Miss(i);
+                }
+                if let Some(v) = cached(item) {
+                    hits += 1;
+                    return Slot::Hit(v);
+                }
+                queued.insert(k, misses.len());
+                misses.push(item);
+                Slot::Miss(misses.len() - 1)
+            })
+            .collect();
+        pipeline_stats().add_cache_hits(hits);
+        HitsFirst { slots, misses }
+    }
+
+    /// The queued misses, each key once, in first-request order.
+    fn misses(&self) -> &[&'a I] {
+        &self.misses
+    }
+
+    /// Compute the misses on `workers` threads and return every value in
+    /// input order.
+    fn finish(self, workers: usize, compute: impl Fn(&I) -> V + Sync) -> Vec<V> {
+        let fresh = if self.misses.is_empty() {
+            Vec::new()
+        } else {
+            run_grains(&self.misses, workers, |item| compute(item))
+        };
+        self.slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Hit(v) => v,
+                Slot::Miss(i) => fresh[i].clone(),
+            })
+            .collect()
+    }
 }
 
 /// One persisted measurement grain (a JSONL line).
@@ -229,6 +308,27 @@ impl GrainStore {
             .expect("grain store lock")
             .insert(key, m);
     }
+
+    /// Serve each `(key, item)` from the store or measure it with
+    /// `compute`, hits first: only the misses fan out over one scheduler
+    /// round on `workers` threads, each recorded as it completes.
+    /// Results are index-parallel with `items`.
+    ///
+    /// # Panics
+    /// Propagates a panic raised by `compute`; panics on an unwritable
+    /// store path.
+    pub fn get_or_compute_batch<I: Sync>(
+        &self,
+        items: &[(u64, I)],
+        workers: usize,
+        compute: impl Fn(&I) -> Metrics + Sync,
+    ) -> Vec<Metrics> {
+        HitsFirst::plan(items, |(k, _)| *k, |(k, _)| self.get(*k)).finish(workers, |(k, item)| {
+            let m = compute(item);
+            self.record(*k, m);
+            m
+        })
+    }
 }
 
 /// One persisted derived result (a JSONL line).
@@ -326,23 +426,46 @@ impl DerivedStore {
             .insert(key, val);
     }
 
-    /// Serve `key` from the cache or compute, record, and return it.
-    /// Both paths feed the pipeline hit rate: a hit counts as a cache
-    /// hit, a compute as an executed grain, so `hits + executed` equals
-    /// requests across grain and derived stores alike.
+    /// [`GrainStore::get_or_compute_batch`] for derived results: each
+    /// `(key, item)` is served from the store or computed, hits first,
+    /// with only the misses fanned out over `workers` threads.
+    ///
+    /// # Panics
+    /// Propagates a panic raised by `compute`; panics on an unwritable
+    /// store path.
+    pub fn get_or_compute_batch<I, T>(
+        &self,
+        items: &[(u64, I)],
+        workers: usize,
+        compute: impl Fn(&I) -> T + Sync,
+    ) -> Vec<T>
+    where
+        I: Sync,
+        T: Serialize + Deserialize + Clone + Send,
+    {
+        HitsFirst::plan(items, |(k, _)| *k, |(k, _)| self.get_as(*k)).finish(
+            workers,
+            |(k, item)| {
+                let v = compute(item);
+                self.record(*k, &v);
+                v
+            },
+        )
+    }
+
+    /// Serve `key` from the cache or compute, record, and return it: the
+    /// one-item case of [`DerivedStore::get_or_compute_batch`].
+    ///
+    /// # Panics
+    /// Propagates a panic raised by `compute`.
     pub fn get_or_compute<T, F>(&self, key: u64, compute: F) -> T
     where
-        T: Serialize + Deserialize,
-        F: FnOnce() -> T,
+        T: Serialize + Deserialize + Clone + Send,
+        F: Fn() -> T + Sync,
     {
-        if let Some(v) = self.get_as::<T>(key) {
-            pipeline_stats().add_cache_hits(1);
-            return v;
-        }
-        let v = compute();
-        pipeline_stats().add_grains_executed(1);
-        self.record(key, &v);
-        v
+        self.get_or_compute_batch(&[(key, ())], 1, |()| compute())
+            .pop()
+            .expect("one value per item")
     }
 }
 
@@ -462,13 +585,12 @@ pub struct SweepRequest {
     pub configs: Vec<NvmConfig>,
 }
 
-/// A scheduled cache miss: everything a worker needs to measure and
-/// persist one grain.
-struct MissGrain {
-    cfg: NvmConfig,
+/// One grain lookup of a sweep batch.
+struct SweepGrain<'a> {
+    req: &'a SweepRequest,
+    cfg: &'a NvmConfig,
     key: u64,
-    rig: Arc<RigCell>,
-    store: Arc<GrainStore>,
+    store: &'a GrainStore,
 }
 
 /// Serve a batch of sweeps from the grain cache, measuring only the
@@ -492,94 +614,86 @@ pub fn load_or_compute_sweeps(
     scale: Scale,
     seed: u64,
 ) -> Vec<SweepDataset> {
-    let stats = pipeline_stats();
-    let mut misses: Vec<MissGrain> = Vec::new();
-    let mut scheduled: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut hits = 0u64;
-    // Index-parallel with `requests`: (store, per-config keys).
-    let mut plans: Vec<(Arc<GrainStore>, Vec<u64>)> = Vec::with_capacity(requests.len());
+    let stores: Vec<Arc<GrainStore>> = requests
+        .iter()
+        .map(|req| grain_store(req.workload, scale, seed))
+        .collect();
+    let grains: Vec<SweepGrain> = requests
+        .iter()
+        .zip(&stores)
+        .flat_map(|(req, store)| {
+            let budget = req.workload.detailed_insts(scale.detailed_factor());
+            req.configs.iter().map(move |cfg| SweepGrain {
+                req,
+                cfg,
+                key: grain_key(req.workload, seed, budget, cfg),
+                store,
+            })
+        })
+        .collect();
+    let batch = HitsFirst::plan(&grains, |g| g.key, |g| g.store.get(g.key));
 
-    for req in requests {
-        let store = grain_store(req.workload, scale, seed);
-        let budget = req.workload.detailed_insts(scale.detailed_factor());
-        let mut keys = Vec::with_capacity(req.configs.len());
-        let mut rig: Option<Arc<RigCell>> = None;
-        for cfg in &req.configs {
-            let key = grain_key(req.workload, seed, budget, cfg);
-            keys.push(key);
-            if store.get(key).is_some() || scheduled.contains(&key) {
-                hits += 1;
-                continue;
-            }
-            scheduled.insert(key);
-            misses.push(MissGrain {
-                cfg: *cfg,
-                key,
-                rig: Arc::clone(rig.get_or_insert_with(|| shared_rig(req.workload, seed, budget))),
-                store: Arc::clone(&store),
-            });
+    // One warm-rig cell per workload with a miss, pre-warmed in parallel
+    // so no measurement worker stalls behind another workload's warmup.
+    // Warmups are rig work, not grains — they are accounted by the rig
+    // pool, not the scheduler.
+    let mut rigs: Vec<(Workload, Arc<RigCell>)> = Vec::new();
+    for g in batch.misses() {
+        let w = g.req.workload;
+        if !rigs.iter().any(|(have, _)| *have == w) {
+            let budget = w.detailed_insts(scale.detailed_factor());
+            rigs.push((w, shared_rig(w, seed, budget)));
         }
-        plans.push((store, keys));
     }
-    stats.add_cache_hits(hits);
-
-    if !misses.is_empty() {
-        let workers = default_workers();
-        // Pre-warm each distinct rig in parallel so no measurement worker
-        // stalls behind another workload's warmup. Warmups are rig work,
-        // not grains — they are accounted by the rig pool, not the
-        // scheduler.
-        let mut warm: Vec<Arc<RigCell>> = Vec::new();
-        for g in &misses {
-            if !warm.iter().any(|c| Arc::ptr_eq(c, &g.rig)) {
-                warm.push(Arc::clone(&g.rig));
-            }
-        }
-        // Single deployment-style measurements stay quiet; only real
-        // sweep rounds get progress lines.
-        let chatty = misses.len() >= 8;
-        // mct-tidy: allow(D002) -- progress-line timing only; never feeds results
-        let t0 = Instant::now();
-        if chatty {
-            eprintln!(
-                "measuring {} grains across {} workload rigs ({} served from cache) at scale {scale} ...",
-                misses.len(),
-                warm.len(),
-                hits
-            );
-        }
+    let workers = default_workers();
+    // Single deployment-style measurements stay quiet; only real sweep
+    // rounds get progress lines.
+    let chatty = batch.misses().len() >= 8;
+    // mct-tidy: allow(D002) -- progress-line timing only; never feeds results
+    let t0 = Instant::now();
+    if chatty {
+        eprintln!(
+            "measuring {} grains across {} workload rigs ({} served from cache) at scale {scale} ...",
+            batch.misses().len(),
+            rigs.len(),
+            grains.len() - batch.misses().len()
+        );
+    }
+    if !rigs.is_empty() {
         std::thread::scope(|scope| {
-            for chunk in warm.chunks(warm.len().div_ceil(workers.max(1))) {
+            for chunk in rigs.chunks(rigs.len().div_ceil(workers.max(1))) {
                 scope.spawn(move || {
-                    for cell in chunk {
+                    for (_, cell) in chunk {
                         let _ = cell.rig();
                     }
                 });
             }
         });
-        let _ = run_grains(&misses, workers, |g| {
-            let m = g.rig.rig().measure(&g.cfg);
+    }
+    let mut metrics = batch
+        .finish(workers, |g| {
+            let (_, rig) = rigs
+                .iter()
+                .find(|(w, _)| *w == g.req.workload)
+                .expect("a rig per missing workload");
+            let m = rig.rig().measure(g.cfg);
             g.store.record(g.key, m);
             m
-        });
-        if chatty {
-            eprintln!("  done in {:.1}s", t0.elapsed().as_secs_f64());
-        }
+        })
+        .into_iter();
+    if chatty {
+        eprintln!("  done in {:.1}s", t0.elapsed().as_secs_f64());
     }
 
     requests
         .iter()
-        .zip(plans)
-        .map(|(req, (store, keys))| SweepDataset {
+        .map(|req| SweepDataset {
             version: CACHE_VERSION,
             workload: req.workload.name().to_string(),
             scale: scale.tag().to_string(),
             stride: scale.space_stride(),
             configs: req.configs.clone(),
-            metrics: keys
-                .iter()
-                .map(|k| store.get(*k).expect("grain measured or cached"))
-                .collect(),
+            metrics: metrics.by_ref().take(req.configs.len()).collect(),
         })
         .collect()
 }
@@ -610,35 +724,14 @@ pub fn load_or_compute_sweep(
 }
 
 /// Serve one measurement grain from `store` or run `measure`, recording
-/// the fresh result. The hit/executed counters feed the pipeline
-/// cache-hit rate; use this for one-off deployment measurements that do
-/// not warrant a scheduler round.
+/// the fresh result: the one-item case of
+/// [`GrainStore::get_or_compute_batch`].
 pub fn cached_measurement(
     store: &GrainStore,
     key: u64,
-    measure: impl FnOnce() -> Metrics,
+    measure: impl Fn() -> Metrics + Sync,
 ) -> Metrics {
-    let stats = pipeline_stats();
-    if let Some(m) = store.get(key) {
-        stats.add_cache_hits(1);
-        return m;
-    }
-    let m = measure();
-    stats.add_grains_executed(1);
-    store.record(key, m);
-    m
-}
-
-/// Measure one (workload × config) grain at the scale's budget through
-/// the cache and the shared rig pool.
-#[must_use]
-pub fn cached_measure(workload: Workload, cfg: &NvmConfig, scale: Scale, seed: u64) -> Metrics {
-    let budget = workload.detailed_insts(scale.detailed_factor());
-    let store = grain_store(workload, scale, seed);
-    let key = grain_key(workload, seed, budget, cfg);
-    cached_measurement(&store, key, || {
-        shared_rig(workload, seed, budget).rig().measure(cfg)
-    })
+    store.get_or_compute_batch(&[(key, ())], 1, |()| measure())[0]
 }
 
 /// Apply the scale's stride to a configuration list, always retaining the
@@ -664,6 +757,7 @@ pub fn strided_configs(all: &[NvmConfig], scale: Scale) -> Vec<NvmConfig> {
 mod tests {
     use super::*;
     use mct_core::ConfigSpace;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn strided_configs_keep_anchors() {
@@ -751,6 +845,83 @@ mod tests {
         assert_eq!(after.stale_discarded - before.stale_discarded, 1);
         assert_eq!(after.corrupt_discarded - before.corrupt_discarded, 2);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn metrics_of(key: u64) -> Metrics {
+        Metrics {
+            ipc: key as f64,
+            lifetime_years: 2.0 * key as f64,
+            energy_j: 0.5,
+        }
+    }
+
+    #[test]
+    fn all_hit_batch_never_computes() {
+        let dir = mct_persist::TempDir::new("mct-batch-hits");
+        let store = GrainStore::open(dir.join("grains.jsonl"));
+        for k in 1..=4 {
+            store.record(k, metrics_of(k));
+        }
+        let items: Vec<(u64, u64)> = [3, 1, 4, 1].iter().map(|&k| (k, k)).collect();
+        let batch = HitsFirst::plan(&items, |(k, _)| *k, |(k, _)| store.get(*k));
+        assert!(
+            batch.misses().is_empty(),
+            "an all-hit batch leaves nothing for a scheduler round"
+        );
+        let computes = AtomicUsize::new(0);
+        let got = store.get_or_compute_batch(&items, 2, |&k| {
+            computes.fetch_add(1, Ordering::SeqCst);
+            metrics_of(k)
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 0);
+        let want: Vec<Metrics> = [3, 1, 4, 1].map(metrics_of).to_vec();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn mixed_batch_computes_each_miss_once_in_input_order() {
+        let dir = mct_persist::TempDir::new("mct-batch-mixed");
+        let store = GrainStore::open(dir.join("grains.jsonl"));
+        store.record(1, metrics_of(1));
+        store.record(3, metrics_of(3));
+        // 2 is requested twice: one compute, the repeat served from it.
+        let keys = [1u64, 2, 3, 4, 2, 5, 6, 7];
+        let items: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+        let computes = AtomicUsize::new(0);
+        let got = store.get_or_compute_batch(&items, 2, |&k| {
+            computes.fetch_add(1, Ordering::SeqCst);
+            metrics_of(k)
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 5, "misses 2, 4, 5, 6, 7");
+        assert_eq!(got, keys.map(metrics_of).to_vec());
+    }
+
+    #[test]
+    fn batch_misses_are_on_disk_after_the_call() {
+        let dir = mct_persist::TempDir::new("mct-batch-persist");
+        let grains = dir.join("grains.jsonl");
+        let derived = dir.join("derived.jsonl");
+        let items: Vec<(u64, u64)> = (10..16).map(|k| (k, k)).collect();
+        {
+            let store = GrainStore::open(grains.clone());
+            store.record(10, metrics_of(10));
+            let _ = store.get_or_compute_batch(&items, 2, |&k| metrics_of(k));
+            let store = DerivedStore::open(derived.clone());
+            let _: Vec<Vec<f64>> = store.get_or_compute_batch(&items, 2, |&k| vec![k as f64]);
+        }
+        let store = GrainStore::open(grains);
+        assert_eq!(store.len(), items.len());
+        for (k, _) in &items {
+            assert_eq!(store.get(*k), Some(metrics_of(*k)), "grain {k}");
+        }
+        let store = DerivedStore::open(derived);
+        for (k, _) in &items {
+            assert_eq!(
+                store.get_as::<Vec<f64>>(*k),
+                Some(vec![*k as f64]),
+                "derived {k}"
+            );
+        }
     }
 
     #[test]

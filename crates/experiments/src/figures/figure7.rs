@@ -9,36 +9,17 @@
 use std::io::{self, Write};
 
 use mct_core::{ModelKind, NvmConfig, Objective};
-use mct_sim::stats::Metrics;
 use mct_workloads::Workload;
 
-use crate::cache::{cached_measure, load_or_compute_sweeps, strided_configs, SweepRequest};
-use crate::figures::{cached_mct_outcome, geomean};
+use crate::cache::{load_or_compute_sweeps, strided_configs, SweepRequest};
+use crate::figures::{deployed_choices, geomean, MctRun};
 use crate::ideal::ideal_for;
 use crate::report::{config_table_header, config_table_row, Table};
 use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
 
-/// Run the MCT controller (through the derived-result cache) and measure
-/// the *deployment* of its chosen configuration with the same
-/// long-window methodology as the default/static/ideal references (the
-/// paper's testing period is 2B instructions — long enough that
-/// short-window drain artifacts vanish; our scaled windows are not, so
-/// the deployed choice is re-measured on the shared rig; the
-/// runtime-overhead story lives in figure9).
-fn run_mct(w: Workload, kind: ModelKind, scale: Scale) -> (Metrics, NvmConfig, f64) {
-    let outcome = cached_mct_outcome(
-        w,
-        kind,
-        scale.controller_insts(),
-        8.0,
-        scale,
-        EXPERIMENT_SEED,
-    );
-    let deployed = cached_measure(w, &outcome.chosen_config, scale, EXPERIMENT_SEED);
-    let epi = deployed.energy_j / w.detailed_insts(scale.detailed_factor()) as f64;
-    (deployed, outcome.chosen_config, epi)
-}
+/// The learners compared, in table-column order.
+const KINDS: [ModelKind; 2] = [ModelKind::GradientBoosting, ModelKind::QuadraticLasso];
 
 /// Render Figure 7 and Table 10.
 pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
@@ -73,6 +54,19 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         .collect();
     let datasets = load_or_compute_sweeps(&requests, scale, EXPERIMENT_SEED);
 
+    let runs: Vec<MctRun> = Workload::all()
+        .into_iter()
+        .flat_map(|w| {
+            KINDS.map(|kind| MctRun {
+                workload: w,
+                kind,
+                total_insts: scale.controller_insts(),
+                target_years: 8.0,
+            })
+        })
+        .collect();
+    let deployed = deployed_choices(&runs, KINDS.len(), scale);
+
     let mut gb_vs_static_ipc = Vec::new();
     let mut gb_vs_static_energy = Vec::new();
     let mut gb_vs_ideal_ipc = Vec::new();
@@ -81,7 +75,7 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
     let mut ql_vs_static_energy = Vec::new();
     let mut gb_lifetimes_ok = 0;
 
-    for (w, ds) in Workload::all().into_iter().zip(&datasets) {
+    for ((w, ds), dep) in Workload::all().into_iter().zip(&datasets).zip(&deployed) {
         let sweep_insts = w.detailed_insts(scale.detailed_factor()) as f64;
         let def = ds
             .metrics_of(&NvmConfig::default_config())
@@ -90,8 +84,9 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
             .metrics_of(&NvmConfig::static_baseline())
             .expect("static");
         let ideal = ideal_for(ds, &objective);
-        let (gb, gb_cfg, gb_epi) = run_mct(w, ModelKind::GradientBoosting, scale);
-        let (ql, _, ql_epi) = run_mct(w, ModelKind::QuadraticLasso, scale);
+        let [gb, ql] = [dep.metrics[0], dep.metrics[1]];
+        let gb_cfg = dep.configs[0];
+        let (gb_epi, ql_epi) = (gb.energy_j / sweep_insts, ql.energy_j / sweep_insts);
         let stat_epi = stat.energy_j / sweep_insts;
         let ideal_epi = ideal.metrics.energy_j / sweep_insts;
 

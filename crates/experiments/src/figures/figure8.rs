@@ -11,8 +11,8 @@ use std::io::{self, Write};
 use mct_core::{ConfigSpace, ModelKind, Objective};
 use mct_workloads::Workload;
 
-use crate::cache::{cached_measure, load_or_compute_sweeps, strided_configs, SweepRequest};
-use crate::figures::cached_mct_outcome;
+use crate::cache::{load_or_compute_sweeps, strided_configs, SweepRequest};
+use crate::figures::{deployed_choices, MctRun};
 use crate::ideal::ideal_for;
 use crate::report::Table;
 use crate::runner::EXPERIMENT_SEED;
@@ -24,6 +24,8 @@ const WORKLOADS: [Workload; 4] = [
     Workload::GemsFdtd,
     Workload::Stream,
 ];
+
+const TARGETS: [f64; 4] = [4.0, 6.0, 8.0, 10.0];
 
 /// Render Figure 8.
 pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
@@ -43,7 +45,20 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         .collect();
     let datasets = load_or_compute_sweeps(&requests, scale, EXPERIMENT_SEED);
 
-    for (w, ds) in WORKLOADS.into_iter().zip(&datasets) {
+    let runs: Vec<MctRun> = WORKLOADS
+        .into_iter()
+        .flat_map(|w| {
+            TARGETS.map(|target_years| MctRun {
+                workload: w,
+                kind: ModelKind::GradientBoosting,
+                total_insts: scale.controller_insts() / 2,
+                target_years,
+            })
+        })
+        .collect();
+    let deployed = deployed_choices(&runs, TARGETS.len(), scale);
+
+    for ((w, ds), dep) in WORKLOADS.into_iter().zip(&datasets).zip(&deployed) {
         let mut table = Table::new([
             "target",
             "mct ipc",
@@ -52,18 +67,8 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
             "ideal life",
             "mct/ideal ipc",
         ]);
-        for target in [4.0, 6.0, 8.0, 10.0] {
+        for (target, m) in TARGETS.into_iter().zip(&dep.metrics) {
             let ideal = ideal_for(ds, &Objective::paper_default(target));
-            let outcome = cached_mct_outcome(
-                w,
-                ModelKind::GradientBoosting,
-                scale.controller_insts() / 2,
-                target,
-                scale,
-                EXPERIMENT_SEED,
-            );
-            // Deployment measurement on the shared rig (see figure7).
-            let m = cached_measure(w, &outcome.chosen_config, scale, EXPERIMENT_SEED);
             table.row([
                 format!("{target:.0}y"),
                 format!("{:.3}", m.ipc),

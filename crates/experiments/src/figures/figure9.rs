@@ -6,11 +6,12 @@ use std::io::{self, Write};
 use mct_core::{ModelKind, NvmConfig};
 use mct_workloads::Workload;
 
-use crate::cache::{load_or_compute_sweeps, strided_configs, SweepRequest};
-use crate::figures::{cached_mct_outcome, geomean};
+use crate::cache::{derived_store, load_or_compute_sweeps, strided_configs, SweepRequest};
+use crate::figures::{geomean, mct_outcomes, MctRun};
 use crate::report::Table;
 use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
+use crate::sched::default_workers;
 
 /// Render Figures 9a and 9b.
 pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
@@ -29,6 +30,24 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         .collect();
     let datasets = load_or_compute_sweeps(&requests, scale, EXPERIMENT_SEED);
 
+    // The identical controller runs figure7 caches: same model, budget,
+    // target, and seed — so one execution serves both.
+    let runs: Vec<MctRun> = Workload::all()
+        .into_iter()
+        .map(|w| MctRun {
+            workload: w,
+            kind: ModelKind::GradientBoosting,
+            total_insts: scale.controller_insts(),
+            target_years: 8.0,
+        })
+        .collect();
+    let gb_outcomes = mct_outcomes(
+        &runs,
+        &derived_store(scale, EXPERIMENT_SEED),
+        EXPERIMENT_SEED,
+        default_workers(),
+    );
+
     let mut fig9a = Table::new([
         "workload",
         "sampling ipc / static",
@@ -39,23 +58,12 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
     let mut outcomes = Vec::new();
     let mut ipc_ratios_sampling = Vec::new();
     let mut ipc_ratios_testing = Vec::new();
-    for (w, ds) in Workload::all().into_iter().zip(&datasets) {
+    for ((w, ds), outcome) in Workload::all().into_iter().zip(&datasets).zip(gb_outcomes) {
         let sweep_insts = w.detailed_insts(scale.detailed_factor()) as f64;
         let stat = ds
             .metrics_of(&NvmConfig::static_baseline())
             .expect("static");
         let stat_epi = stat.energy_j / sweep_insts;
-
-        // The identical controller run figure7 caches: same model,
-        // budget, target, and seed — so one execution serves both.
-        let outcome = cached_mct_outcome(
-            w,
-            ModelKind::GradientBoosting,
-            scale.controller_insts(),
-            8.0,
-            scale,
-            EXPERIMENT_SEED,
-        );
 
         let sampling_epi = outcome.sampling_metrics.energy_j / outcome.sampling_insts.max(1) as f64;
         let testing_epi = outcome.final_metrics.energy_j / outcome.testing_insts.max(1) as f64;

@@ -16,8 +16,12 @@ use mct_core::{Controller, ControllerConfig, MetricsPredictor, ModelKind, Object
 use mct_ml::coefficient_of_determination;
 use mct_workloads::Workload;
 
-use crate::cache::{derived_key, derived_store, SweepDataset};
+use crate::cache::{
+    derived_key, derived_store, load_or_compute_sweeps, DerivedStore, SweepDataset, SweepRequest,
+};
+use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
+use crate::sched::default_workers;
 
 pub mod calibrate;
 pub mod config_space;
@@ -55,32 +59,84 @@ pub const STAGES: &[(&str, StageFn)] = &[
     ("extensions", extensions::run),
 ];
 
-/// Run the MCT controller for one (workload, model, budget, target)
-/// through the derived-result cache: figure7 and figure9 request the
-/// identical gradient-boosting run and share one execution, and a warm
-/// rerun serves every controller outcome from disk.
-pub(crate) fn cached_mct_outcome(
-    w: Workload,
-    kind: ModelKind,
-    total_insts: u64,
-    target_years: f64,
-    scale: Scale,
-    seed: u64,
-) -> Outcome {
-    let store = derived_store(scale, seed);
-    let key = derived_key(
-        &format!("mct_run/{}/{}", w.name(), kind.label()),
-        seed,
-        &[total_insts as f64, w.warmup_insts() as f64, target_years],
-    );
-    store.get_or_compute(key, || {
+/// One controller run a figure asks for: a workload, the learner, the
+/// instruction budget and the lifetime target.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MctRun {
+    /// The workload the controller runs on.
+    pub workload: Workload,
+    /// The learner it samples and fits with.
+    pub kind: ModelKind,
+    /// Total instructions of the run.
+    pub total_insts: u64,
+    /// Lifetime target of the objective, in years.
+    pub target_years: f64,
+}
+
+impl MctRun {
+    /// Derived-store address of this run at `seed`.
+    fn key(&self, seed: u64) -> u64 {
+        let w = self.workload;
+        derived_key(
+            &format!("mct_run/{}/{}", w.name(), self.kind.label()),
+            seed,
+            &[
+                self.total_insts as f64,
+                w.warmup_insts() as f64,
+                self.target_years,
+            ],
+        )
+    }
+
+    fn run(&self, seed: u64) -> Outcome {
         let mut cfg = ControllerConfig::paper_scaled();
-        cfg.model = kind;
-        cfg.total_insts = total_insts;
-        cfg.warmup_insts = w.warmup_insts();
-        let mut controller = Controller::new(cfg, Objective::paper_default(target_years));
-        controller.run(&mut w.source(seed))
-    })
+        cfg.model = self.kind;
+        cfg.total_insts = self.total_insts;
+        cfg.warmup_insts = self.workload.warmup_insts();
+        let mut controller = Controller::new(cfg, Objective::paper_default(self.target_years));
+        controller.run(&mut self.workload.source(seed))
+    }
+}
+
+/// Run the MCT controller for every request through `store`, hits first:
+/// only the runs not cached yet fan out over `workers` threads, and each
+/// is recorded as it finishes. figure7 and figure9 request the identical
+/// gradient-boosting runs and share one execution, and a warm rerun
+/// serves every outcome from disk. Outcomes are index-parallel with
+/// `runs` and bit-identical at any worker count.
+#[must_use]
+pub fn mct_outcomes(
+    runs: &[MctRun],
+    store: &DerivedStore,
+    seed: u64,
+    workers: usize,
+) -> Vec<Outcome> {
+    let items: Vec<(u64, MctRun)> = runs.iter().map(|r| (r.key(seed), *r)).collect();
+    store.get_or_compute_batch(&items, workers, |r| r.run(seed))
+}
+
+/// Measure the *deployment* of each run's chosen configuration with the
+/// same long-window methodology as the default/static/ideal references.
+/// The paper's testing period is 2B instructions — long enough that
+/// short-window drain artifacts vanish; our scaled windows are not, so
+/// the deployed choice is re-measured on the shared rig (the
+/// runtime-overhead story lives in figure9).
+///
+/// The runs go through [`mct_outcomes`], then all deployments through
+/// one sweep round. `runs` come in groups of `per` consecutive runs on
+/// one workload; each group yields one dataset, configs in run order.
+pub(crate) fn deployed_choices(runs: &[MctRun], per: usize, scale: Scale) -> Vec<SweepDataset> {
+    let store = derived_store(scale, EXPERIMENT_SEED);
+    let outcomes = mct_outcomes(runs, &store, EXPERIMENT_SEED, default_workers());
+    let requests: Vec<SweepRequest> = runs
+        .chunks(per)
+        .zip(outcomes.chunks(per))
+        .map(|(group, chosen)| SweepRequest {
+            workload: group[0].workload,
+            configs: chosen.iter().map(|o| o.chosen_config).collect(),
+        })
+        .collect();
+    load_or_compute_sweeps(&requests, scale, EXPERIMENT_SEED)
 }
 
 /// R^2 of one fitted predictor on the `eval` rows of `ds`, for IPC,

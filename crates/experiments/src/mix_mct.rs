@@ -18,6 +18,7 @@ use mct_workloads::{Mix, WorkloadSource};
 
 use crate::runner::par_map;
 use crate::scale::Scale;
+use crate::sched::default_workers;
 
 /// Which policy a mix run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,12 +132,12 @@ fn run_on_rig(
             let unit = (detailed / 16).max(10_000);
             let (baseline, _, _) =
                 rig.measure(&NvmConfig::static_baseline().without_wear_quota(), unit);
-            let threads =
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
             let measured: Vec<(NvmConfig, Metrics)> = samples
                 .iter()
                 .copied()
-                .zip(par_map(&samples, threads, |c| rig.measure(c, unit).0))
+                .zip(par_map(&samples, default_workers(), |c| {
+                    rig.measure(c, unit).0
+                }))
                 .collect();
             let mut predictor = MetricsPredictor::new(ModelKind::GradientBoosting);
             predictor.fit(&measured, Some(baseline));

@@ -251,11 +251,16 @@ where
 }
 
 /// Brute-force sweep: metrics for every configuration in `configs`,
-/// parallelized over the available cores.
+/// parallelized over [`crate::sched::default_workers`] threads.
 #[must_use]
 pub fn sweep(workload: Workload, configs: &[NvmConfig], scale: Scale, seed: u64) -> Vec<Metrics> {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    sweep_with_threads(workload, configs, scale, seed, threads)
+    sweep_with_threads(
+        workload,
+        configs,
+        scale,
+        seed,
+        crate::sched::default_workers(),
+    )
 }
 
 /// How many candidate configs one worker grain drives through a shared

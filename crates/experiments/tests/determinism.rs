@@ -207,3 +207,69 @@ fn persistence_observation_is_bit_invisible() {
     let observed = run(Some(PersistConfig::fresh(dir.path().display().to_string())));
     assert_bits("persist observation", &observed, &bare);
 }
+
+/// The controller-run fan-out must be invisible to the physics: a batch
+/// of runs through [`mct_outcomes`] at 1 and at 2 workers returns exactly
+/// what a serial `Controller::run` per request returns.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow in debug builds; CI runs this suite under --release"
+)]
+fn controller_run_fan_out_is_bit_identical_to_serial() {
+    use mct_core::{Controller, ControllerConfig, ModelKind, Objective};
+    use mct_experiments::cache::DerivedStore;
+    use mct_experiments::figures::{mct_outcomes, MctRun};
+
+    let runs: Vec<MctRun> = [
+        (Workload::Stream, ModelKind::GradientBoosting, 8.0),
+        (Workload::Gups, ModelKind::QuadraticLasso, 8.0),
+        (Workload::Lbm, ModelKind::GradientBoosting, 4.0),
+        (Workload::Milc, ModelKind::QuadraticLasso, 10.0),
+    ]
+    .into_iter()
+    .map(|(workload, kind, target_years)| MctRun {
+        workload,
+        kind,
+        total_insts: 600_000,
+        target_years,
+    })
+    .collect();
+    let serial: Vec<_> = runs
+        .iter()
+        .map(|r| {
+            let mut cfg = ControllerConfig::paper_scaled();
+            cfg.model = r.kind;
+            cfg.total_insts = r.total_insts;
+            cfg.warmup_insts = r.workload.warmup_insts();
+            let mut controller = Controller::new(cfg, Objective::paper_default(r.target_years));
+            controller.run(&mut r.workload.source(EXPERIMENT_SEED))
+        })
+        .collect();
+
+    for workers in [1usize, 2] {
+        let dir = mct_persist::TempDir::new("mct-determinism-fan-out");
+        let store = DerivedStore::open(dir.join("derived.jsonl"));
+        let fanned = mct_outcomes(&runs, &store, EXPERIMENT_SEED, workers);
+        assert_eq!(fanned.len(), serial.len());
+        for (i, (a, b)) in serial.iter().zip(&fanned).enumerate() {
+            assert_eq!(
+                a.chosen_config, b.chosen_config,
+                "run {i}, {workers} workers: chosen config"
+            );
+            for (x, y) in a
+                .final_metrics
+                .to_array()
+                .iter()
+                .zip(b.final_metrics.to_array())
+            {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "run {i}, {workers} workers: final metrics"
+                );
+            }
+            assert_eq!(a, b, "run {i}, {workers} workers: outcome");
+        }
+    }
+}
