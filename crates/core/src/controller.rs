@@ -22,8 +22,10 @@ use mct_sim::fault::FaultPlan;
 use mct_sim::stats::{Metrics, RunStats};
 use mct_sim::system::{System, SystemConfig};
 use mct_sim::trace::AccessSource;
-use mct_telemetry::{Event, RecorderHandle, Telemetry};
+use mct_sim::WearSnapshot;
+use mct_telemetry::{Event, RecorderHandle, SpanGuard, Telemetry};
 
+use crate::bank::FitBank;
 use crate::config::NvmConfig;
 use crate::degrade::{DegradationAction, DegradationLadder};
 use crate::objective::Objective;
@@ -71,14 +73,9 @@ pub struct ControllerConfig {
     pub seed: u64,
     /// Skip the segment-start refit when the previous segment's health
     /// checks all passed and the new segment's workload intensity sits
-    /// within a quarter octave of a banked fit's — the PR 7
-    /// fixpoint-elision pattern applied to training. The controller
-    /// banks the last few clean fits keyed by their *fit-time*
-    /// intensity (so slow drift cannot ratchet an elided model away
-    /// from the phase it was trained on), which lets alternating
-    /// phases (A→B→A) reuse both models. The bank is dropped whenever
-    /// the degradation ladder forces a refit or a revert. Deserializes
-    /// to `false` for configs written before this field existed.
+    /// within a quarter octave of a banked fit's; see
+    /// [`FitBank`] for the bank's policy. Deserializes to `false` for
+    /// configs written before this field existed.
     #[serde(default)]
     pub refit_elision: bool,
     /// Optional deterministic fault plan, armed on the simulated system
@@ -128,14 +125,11 @@ impl ControllerConfig {
     #[must_use]
     pub fn quick_demo() -> ControllerConfig {
         ControllerConfig {
-            system: SystemConfig::default(),
             model: ModelKind::QuadraticLasso,
             feature_based_sampling: false,
             n_random_samples: 16,
             sample_unit_insts: 3_000,
             sampling_rounds: 1,
-            exclude_wear_quota: true,
-            quota_fixup: true,
             phase: PhaseDetectorConfig {
                 window_insts: 20_000,
                 history_windows: 50,
@@ -147,10 +141,7 @@ impl ControllerConfig {
             warmup_insts: 100_000,
             health_check_every_windows: 8,
             health_check_insts: 10_000,
-            seed: 17,
-            refit_elision: true,
-            fault_plan: None,
-            persist: None,
+            ..ControllerConfig::paper_scaled()
         }
     }
 }
@@ -192,28 +183,30 @@ impl MetricAccum {
             energy_j: self.energy_j,
         }
     }
-
-    fn is_empty(&self) -> bool {
-        self.insts == 0
-    }
 }
 
-/// What a run or segment realized: the first non-empty of its testing,
-/// sampling and baseline windows. Testing is empty when the budget ran
-/// out before it began; sampling is empty on a warm start, which skips
-/// it. Falling through keeps an empty accumulator (IPC 0, infinite
-/// lifetime) out of the report whenever any window was measured.
-fn realized(
-    wear_budget: f64,
-    testing: &MetricAccum,
-    sampling: &MetricAccum,
-    baseline: &MetricAccum,
-) -> Metrics {
-    [testing, sampling, baseline]
-        .into_iter()
-        .find(|a| !a.is_empty())
-        .unwrap_or(testing)
-        .metrics(wear_budget)
+/// The measured windows of a run or of one segment, by period.
+#[derive(Debug, Clone, Copy, Default)]
+struct Periods {
+    baseline: MetricAccum,
+    sampling: MetricAccum,
+    testing: MetricAccum,
+}
+
+impl Periods {
+    /// What the run or segment realized: the first non-empty of its
+    /// testing, sampling and baseline windows. Testing is empty when the
+    /// budget ran out before it began; sampling is empty on a warm start,
+    /// which skips it. Falling through keeps an empty accumulator (IPC 0,
+    /// infinite lifetime) out of the report whenever any window was
+    /// measured.
+    fn realized(&self, wear_budget: f64) -> Metrics {
+        [&self.testing, &self.sampling, &self.baseline]
+            .into_iter()
+            .find(|a| a.insts > 0)
+            .unwrap_or(&self.testing)
+            .metrics(wear_budget)
+    }
 }
 
 /// Report for one sampling→optimize→test segment (one detected phase).
@@ -362,13 +355,9 @@ impl Controller {
         &self.space
     }
 
-    /// The objective in force.
-    #[must_use]
-    pub fn objective(&self) -> &Objective {
-        &self.objective
-    }
-
-    /// Run MCT over `source` for the configured budget.
+    /// Run MCT over `source` for the configured budget: one phase
+    /// method per step of the paper's runtime (Fig. 5), each reporting
+    /// through one transition hook.
     ///
     /// With a recorder attached, the whole run is wrapped in a `run` root
     /// span (labeled with the learner) whose children — `warmup`,
@@ -384,811 +373,770 @@ impl Controller {
     /// bit-identical re-execution, so a mismatch is a bug that must
     /// surface immediately, never a condition to continue past.
     pub fn run<S: AccessSource>(&mut self, source: &mut S) -> Outcome {
-        let wear_budget = self.cfg.system.wear.budget();
-        let mut sys = System::new(self.cfg.system.clone(), self.baseline_config.to_policy());
-        let run_span =
-            self.telemetry
-                .span_with("run", 0, &[("learner", self.cfg.model.short_label())]);
-        // --- Crash-safe persistence (optional). ---
-        // Opening the store replays any existing log: a clean prior run
-        // arms the warm-start bank; an interrupted one becomes a
-        // verification prefix — the controller re-executes from
-        // instruction zero and, while inside the prefix, every record it
-        // would write is compared against the log instead of appended,
-        // so recovery provably converges on the pre-crash trajectory
-        // before any new state is persisted.
-        let mut persist = self.cfg.persist.clone().map(|pcfg| {
-            let open_span = self.telemetry.span("persist.open", 0);
+        let mut telemetry = std::mem::take(&mut self.telemetry);
+        let span = telemetry.span_with("run", 0, &[("learner", self.cfg.model.short_label())]);
+        let mut run = Run::start(self, telemetry, source);
+        while run.executed < self.cfg.total_insts {
+            let mut seg = run.baseline();
+            run.sample(&mut seg);
+            let (predictions, fit_us) = run.fit_or_elide(&seg);
+            let mut opt = run.decide(&seg, &predictions, fit_us);
+            let testing = run.test(&mut seg, &mut opt);
+            run.finish_segment(seg, opt, testing);
+        }
+        let (outcome, telemetry) = run.finish(span);
+        self.telemetry = telemetry;
+        outcome
+    }
+}
+
+/// Whether a transition closes a span, and on which side of its events.
+#[derive(Debug)]
+enum SpanEnd {
+    None,
+    BeforeEvents(SpanGuard),
+    AfterEvents(SpanGuard),
+}
+
+/// One segment in flight: a detected phase's baseline → sampling → fit
+/// → decide → testing cycle.
+#[derive(Debug)]
+struct Segment {
+    index: u64,
+    span: SpanGuard,
+    /// Workload intensity (accesses/kinst) the baseline measured.
+    apki: f64,
+    /// The banked fit this segment reuses instead of refitting.
+    reuse: Option<usize>,
+    /// Whether sampling was skipped to coast on a warm-start model.
+    warm_started: bool,
+    periods: Periods,
+    /// The `(config, metrics)` training set.
+    samples: Vec<(NvmConfig, Metrics)>,
+    /// Health-check reference: accumulated windows of the *actual*
+    /// baseline (with its wear quota). The sampling anchor is quota-free
+    /// and would read systematically fast.
+    health_reference: MetricAccum,
+    health_checks: u32,
+    /// Whether the ladder reverted the choice to the static baseline.
+    health_fallback: bool,
+    /// Whether every health check so far passed.
+    healthy: bool,
+}
+
+/// One controller run's state, threaded from phase to phase.
+struct Run<'c, S> {
+    ctl: &'c Controller,
+    /// The controller's telemetry, held until [`Run::finish`].
+    tel: Telemetry,
+    source: &'c mut S,
+    sys: System,
+    wear_budget: f64,
+    /// The measured-instruction clock; it starts at 0 after warmup.
+    executed: u64,
+    detector: PhaseDetector,
+    /// The degradation ladder outlives segments: faults persist across
+    /// phase boundaries, so escalation must not reset on re-sample.
+    ladder: DegradationLadder,
+    /// Recently fitted predictors, reused by refit elision.
+    bank: FitBank<MetricsPredictor>,
+    persist: Option<PersistSession>,
+    /// Did every health check in the *previous* segment pass? A failed
+    /// check means the banked model misjudged this regime, so the next
+    /// segment must refit even if the intensity still matches.
+    last_segment_healthy: bool,
+    totals: Periods,
+    last_baseline: Metrics,
+    chosen: NvmConfig,
+    segments: Vec<SegmentReport>,
+}
+
+impl<'c, S: AccessSource> Run<'c, S> {
+    /// Open the state store (when persisting), warm the system up, arm
+    /// the fault plan, and seed the elision bank from a warm start.
+    fn start(ctl: &'c Controller, mut tel: Telemetry, source: &'c mut S) -> Self {
+        let cfg = &ctl.cfg;
+        let mut sys = System::new(cfg.system.clone(), ctl.baseline_config.to_policy());
+        // Opening the store replays any existing log (see
+        // `crate::persist`): a clean prior run yields the warm-start
+        // bank; an interrupted one becomes a prefix that re-execution
+        // from instruction zero verifies record by record.
+        let persist = cfg.persist.as_ref().map(|pcfg| {
+            let span = tel.span("persist.open", 0);
             let started = StateRecord::RunStarted {
                 schema: crate::persist::STATE_SCHEMA_VERSION,
-                seed: self.cfg.seed,
-                model: self.cfg.model,
-                total_insts: self.cfg.total_insts,
-                config_digest: config_digest(&self.cfg),
+                seed: cfg.seed,
+                model: cfg.model,
+                total_insts: cfg.total_insts,
+                config_digest: config_digest(cfg),
             };
-            let session = PersistSession::begin(&pcfg, &started)
+            let session = PersistSession::begin(pcfg, &started)
                 // mct-tidy: allow(P002) -- documented `# Panics` contract: an unrecoverable store must fail loudly
                 .unwrap_or_else(|e| panic!("persist: cannot begin session in {}: {e}", pcfg.dir));
-            self.telemetry.close_span(open_span, 0);
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .incr("persist.replayed_records", session.replayed() as u64);
-                if session.warm_available() {
-                    self.telemetry.incr("persist.warm_starts", 1);
-                }
-            }
+            tel.close_span(span, 0);
+            tel.incr("persist.replayed_records", session.replayed() as u64);
             session
         });
-        let warmup_span = self.telemetry.span("warmup", 0);
-        sys.warmup(source, self.cfg.warmup_insts);
+        let span = tel.span("warmup", 0);
+        sys.warmup(source, cfg.warmup_insts);
         // Span clocks stay at 0 through warmup: the trace's `sim_insts`
         // is the *measured* instruction clock (`executed`), which starts
         // after warmup. Wall time still captures the warmup cost.
-        self.telemetry.close_span(warmup_span, 0);
+        tel.close_span(span, 0);
         // Faults arm after warmup, so plan timestamps are relative to the
         // start of the measured region (validated in `Controller::new`).
-        if let Some(plan) = &self.cfg.fault_plan {
-            let arm_span = self.telemetry.span("fault.arm", 0);
+        if let Some(plan) = &cfg.fault_plan {
+            let span = tel.span("fault.arm", 0);
             sys.arm_faults(plan);
-            self.telemetry.close_span(arm_span, 0);
+            tel.close_span(span, 0);
         }
-
-        let mut detector = PhaseDetector::new(self.cfg.phase);
-        // The degradation ladder outlives segments: faults persist across
-        // phase boundaries, so escalation must not reset on re-sample.
-        let mut ladder = DegradationLadder::new();
-        // Bank of recently fitted predictors, each keyed by the measured
-        // workload intensity (accesses/kinst) at fit time: a new segment
-        // whose intensity stays within a quarter octave of a banked fit
-        // (and whose health record is clean) reuses that model instead of
-        // refitting — alternating phases (ocean's A→B→A) hit the bank on
-        // every return. Entries anchor on the intensity *at fit time*, so
-        // slow drift cannot ratchet an elided model arbitrarily far from
-        // the phase it was trained on. Invalidated wholesale whenever the
-        // ladder forces a refit or a revert — the banked models no longer
-        // describe how the system behaves.
-        const FIT_CACHE_SLOTS: usize = 4;
-        let mut fit_cache: Vec<(f64, MetricsPredictor)> = Vec::new();
-        // Warm start: a clean prior run's fitted models pre-seed the
-        // elision bank. While the controller coasts on them (until the
-        // first fresh fit or ladder action), segments that hit the bank
-        // skip their sampling period outright — the `--resume`
-        // acceptance criterion. A different workload behind the same
-        // config would be caught by the health checks, exactly as a
-        // stale banked fit would mid-run.
-        let mut warm_coasting = false;
-        if let Some(session) = persist.as_mut() {
-            for (apki_bits, state) in session.take_warm_bank() {
-                if fit_cache.len() < FIT_CACHE_SLOTS {
-                    fit_cache.push((
-                        f64::from_bits(apki_bits),
-                        MetricsPredictor::from_state(state),
-                    ));
-                    warm_coasting = true;
-                }
-            }
-            if self.telemetry.enabled() {
-                self.telemetry.emit(
-                    0,
-                    Event::PersistRecovery {
-                        replayed_records: session.replayed() as u64,
-                        warm_start: warm_coasting,
-                        restored_models: fit_cache.len() as u64,
-                    },
-                );
-            }
+        // Warm start: a different workload behind the same config would
+        // be caught by the health checks, exactly as a stale banked fit
+        // would mid-run.
+        let mut bank = FitBank::default();
+        if let Some(session) = &persist {
+            bank.seed(session.warm_bank().map(|(apki, state)| {
+                (
+                    f64::from_bits(apki),
+                    MetricsPredictor::from_state(state.clone()),
+                )
+            }));
         }
-        // Did every health check in the *previous* segment pass? A failed
-        // check means the cached model misjudged this regime, so the next
-        // segment must refit even if the intensity still matches.
-        let mut last_segment_healthy = true;
-        let mut segments: Vec<SegmentReport> = Vec::new();
-        let mut total_sampling = MetricAccum::default();
-        let mut total_testing = MetricAccum::default();
-        let mut total_baseline = MetricAccum::default();
-        let mut executed: u64 = 0;
-        let mut last_baseline = Metrics {
-            ipc: 1.0,
-            lifetime_years: 1.0,
-            energy_j: 1.0,
+        if bank.warm() {
+            tel.incr("persist.warm_starts", 1);
+        }
+        let mut run = Run {
+            ctl,
+            tel,
+            source,
+            sys,
+            wear_budget: cfg.system.wear.budget(),
+            executed: 0,
+            detector: PhaseDetector::new(cfg.phase),
+            ladder: DegradationLadder::new(),
+            bank,
+            persist,
+            last_segment_healthy: true,
+            totals: Periods::default(),
+            last_baseline: Metrics {
+                ipc: 1.0,
+                lifetime_years: 1.0,
+                energy_j: 1.0,
+            },
+            chosen: ctl.baseline_config,
+            segments: Vec::new(),
         };
-        let mut chosen = self.baseline_config;
+        run.transition(SpanEnd::None, [], |run| {
+            run.persist.as_ref().map(|session| Event::PersistRecovery {
+                replayed_records: session.replayed() as u64,
+                warm_start: run.bank.warm(),
+                restored_models: run.bank.len() as u64,
+            })
+        });
+        run
+    }
 
-        while executed < self.cfg.total_insts {
-            let seg_index = segments.len() as u64;
-            let segment_idx = segments.len().to_string();
-            let segment_span =
-                self.telemetry
-                    .span_with("segment", executed, &[("segment", &segment_idx)]);
-            persist_emit(
-                &mut persist,
-                StateRecord::SegmentStarted {
-                    segment: seg_index,
-                    executed,
-                },
-            );
-            // The first segment is the trivially-detected initial phase;
-            // later segments are announced by the detector at the moment
-            // it fires, inside the testing loop below.
-            if self.telemetry.enabled() && segments.is_empty() {
-                self.telemetry.emit(
-                    executed,
-                    Event::PhaseDetected {
-                        score: 0.0,
-                        phases_detected: 0,
-                        mean_workload: detector.mean_workload(),
-                    },
-                );
+    /// The one transition hook: every state record the run persists (or
+    /// verifies during recovery) and every trace event it emits passes
+    /// through here, with the close of the phase's span ordered as `span`
+    /// says. `events` runs only with a recorder attached. Returns the
+    /// closed span's host duration in µs (0 when disabled).
+    ///
+    /// # Panics
+    /// Panics on store failure or on divergence between re-execution and
+    /// a recovered log: the crash-recovery contract is bit-identical
+    /// re-execution, so a mismatch is a bug that must surface
+    /// immediately — continuing would persist split-brain state.
+    fn transition<I: IntoIterator<Item = Event>>(
+        &mut self,
+        span: SpanEnd,
+        records: impl IntoIterator<Item = StateRecord>,
+        events: impl FnOnce(&Self) -> I,
+    ) -> u64 {
+        if let Some(session) = self.persist.as_mut() {
+            for record in records {
+                session
+                    .emit(record)
+                    // mct-tidy: allow(P003) -- documented `# Panics` contract: divergence must fail loudly, never persist split-brain state
+                    .expect("persist: state record rejected");
             }
-
-            // --- Baseline measurement (normalization reference). ---
-            let baseline_span = self.telemetry.span("baseline", executed);
-            let mut baseline_stats = self.measure(
-                &mut sys,
-                source,
-                self.baseline_config,
-                self.cfg.baseline_insts,
-                executed,
-            );
-            // Sparse phases need a longer window before the measurement
-            // means anything; extend until ~1000 accesses were observed.
-            let observed =
-                baseline_stats.mem.reads_completed + baseline_stats.mem.writes_completed();
-            let mut extended = false;
-            if observed < 1_000 && observed > 0 {
-                let extend = self.cfg.baseline_insts * (1_000 / observed.max(50)).min(50);
-                let more = self.measure(&mut sys, source, self.baseline_config, extend, executed);
-                executed += more.instructions;
-                baseline_stats = more;
-                extended = true;
+        }
+        let (before, after) = match span {
+            SpanEnd::None => (None, None),
+            SpanEnd::BeforeEvents(guard) => (Some(guard), None),
+            SpanEnd::AfterEvents(guard) => (None, Some(guard)),
+        };
+        let mut span_us = before.map_or(0, |guard| self.tel.close_span(guard, self.executed));
+        if self.tel.enabled() {
+            for event in events(self) {
+                self.tel.emit(self.executed, event);
             }
-            executed += self.cfg.baseline_insts;
-            last_baseline = baseline_stats.metrics();
-            let mut seg_baseline = MetricAccum::default();
-            seg_baseline.add(&baseline_stats);
-            total_baseline.add(&baseline_stats);
-            self.telemetry.close_span(baseline_span, executed);
-            if self.telemetry.enabled() {
-                self.telemetry.emit(
-                    executed,
-                    Event::BaselineMeasured {
-                        config: self.baseline_config.to_string(),
-                        metrics: last_baseline,
-                        insts: baseline_stats.instructions,
-                        extended,
-                    },
-                );
-                for (name, v) in baseline_stats.mem_counter_snapshot() {
-                    self.telemetry
-                        .observe(&format!("mem.baseline.{name}"), v as f64);
-                }
+        }
+        if let Some(guard) = after {
+            span_us = self.tel.close_span(guard, self.executed);
+        }
+        span_us
+    }
+
+    /// Open a segment and measure the static baseline, the segment's
+    /// normalization reference.
+    fn baseline(&mut self) -> Segment {
+        let ctl = self.ctl;
+        let index = self.segments.len() as u64;
+        let span = self
+            .tel
+            .span_with("segment", self.executed, &[("segment", &index.to_string())]);
+        // The first segment is the trivially-detected initial phase;
+        // later segments are announced by the detector at the moment it
+        // fires, inside the testing period.
+        let started = StateRecord::SegmentStarted {
+            segment: index,
+            executed: self.executed,
+        };
+        self.transition(SpanEnd::None, [started], |run| {
+            (index == 0).then(|| Event::PhaseDetected {
+                score: 0.0,
+                phases_detected: 0,
+                mean_workload: run.detector.mean_workload(),
+            })
+        });
+        let baseline_span = self.tel.span("baseline", self.executed);
+        let mut stats = self.measure(ctl.baseline_config, ctl.cfg.baseline_insts);
+        // Sparse phases need a longer window before the measurement
+        // means anything; extend until ~1000 accesses were observed.
+        let observed = stats.mem.reads_completed + stats.mem.writes_completed();
+        let extended = observed < 1_000 && observed > 0;
+        if extended {
+            let extend = ctl.cfg.baseline_insts * (1_000 / observed.max(50)).min(50);
+            stats = self.measure(ctl.baseline_config, extend);
+            self.executed += stats.instructions;
+        }
+        self.executed += ctl.cfg.baseline_insts;
+        let metrics = stats.metrics();
+        self.last_baseline = metrics;
+        let mut periods = Periods::default();
+        periods.baseline.add(&stats);
+        self.totals.baseline.add(&stats);
+        if self.tel.enabled() {
+            for (name, v) in stats.mem_counter_snapshot() {
+                self.tel.observe(&format!("mem.baseline.{name}"), v as f64);
             }
-            persist_emit(
-                &mut persist,
-                StateRecord::BaselineMeasured {
-                    segment: seg_index,
-                    metrics: last_baseline.into(),
-                    insts: baseline_stats.instructions,
-                    extended,
-                },
-            );
+        }
+        let insts = stats.instructions;
+        let record = StateRecord::BaselineMeasured {
+            segment: index,
+            metrics: metrics.into(),
+            insts,
+            extended,
+        };
+        self.transition(SpanEnd::BeforeEvents(baseline_span), [record], |run| {
+            Some(Event::BaselineMeasured {
+                config: run.ctl.baseline_config.to_string(),
+                metrics,
+                insts,
+                extended,
+            })
+        });
+        Segment {
+            index,
+            span,
+            apki: stats.mem_accesses_per_kinst().max(0.5),
+            reuse: None,
+            warm_started: false,
+            periods,
+            samples: Vec::new(),
+            health_reference: MetricAccum::default(),
+            health_checks: 0,
+            health_fallback: false,
+            healthy: true,
+        }
+    }
 
-            // Size the fine-grained sampling unit from the phase's mean
-            // memory workload (Section 5.2): dense phases use small units,
-            // sparse phases larger ones, targeting ~100 accesses per unit.
-            // Many cyclic rounds spread each sample's units across the
-            // phase's bursts (the paper loops ~130 times); the sampling
-            // period is capped at ~40% of the total budget by shrinking
-            // the unit, never the round count, so burst coverage survives.
-            let apki = baseline_stats.mem_accesses_per_kinst().max(0.5);
-            let ideal_unit = self.cfg.sample_unit_insts.max((100.0 / apki * 1e3) as u64);
-            let n_samples = self.samples.len() as u64;
-            let sampling_budget = (self.cfg.total_insts as f64 * 0.4) as u64;
-            let rounds = self.cfg.sampling_rounds.max(1);
-            let unit_insts = ideal_unit
-                .min(sampling_budget / (n_samples * rounds as u64))
-                .max(1_000);
-
-            let phase_sig = crate::phase::phase_signature(apki);
-            // Same-phase test: the banked fit nearest in intensity, if it
-            // sits within a quarter octave. A ratio test (not bucket
-            // equality) so ordinary segment-to-segment measurement jitter
-            // cannot straddle a bucket edge and force a spurious refit;
-            // ties keep the earliest (oldest) entry. Evaluated before the
-            // sampling period (its inputs — the bank, the baseline
-            // intensity, last segment's health — are all fixed by now) so
-            // a warm start can skip sampling altogether.
-            let cache_hit = fit_cache
-                .iter()
-                .enumerate()
-                .map(|(slot, (fit_apki, _))| (slot, (apki / fit_apki).log2().abs()))
-                .filter(|&(_, dist)| dist <= 0.25)
-                .fold(None, |best: Option<(usize, f64)>, cand| match best {
-                    Some((_, d)) if d <= cand.1 => best,
-                    _ => Some(cand),
+    /// The sampling period: cyclic fine-grained sampling (Section 5.2).
+    /// Skipped outright while a warm start coasts on banked models.
+    fn sample(&mut self, seg: &mut Segment) {
+        let ctl = self.ctl;
+        let cfg = &ctl.cfg;
+        // Same-phase test against the bank. Evaluated before sampling
+        // (its inputs — the bank, the baseline intensity, last segment's
+        // health — are all fixed by now) so a warm start can skip
+        // sampling altogether.
+        seg.reuse = self
+            .bank
+            .nearest(seg.apki)
+            .filter(|_| cfg.refit_elision && self.last_segment_healthy);
+        // Warm start: still coasting on restored models and this
+        // segment's intensity hits the bank — skip the sampling period
+        // (`sampling_insts` stays 0, the `--resume` acceptance
+        // criterion). The sample set stays empty rather than all-zero,
+        // which would poison a later ladder-forced refit, and with no
+        // anchor sample the pre-window baseline stands.
+        seg.warm_started = self.bank.warm() && seg.reuse.is_some();
+        if seg.warm_started {
+            self.tel.incr("persist.sampling_skipped", 1);
+            return;
+        }
+        // Size the fine-grained sampling unit from the phase's mean
+        // memory workload (Section 5.2): dense phases use small units,
+        // sparse phases larger ones, targeting ~100 accesses per unit.
+        // Many cyclic rounds spread each sample's units across the
+        // phase's bursts (the paper loops ~130 times); the sampling
+        // period is capped at ~40% of the total budget by shrinking the
+        // unit, never the round count, so burst coverage survives.
+        let ideal_unit = cfg.sample_unit_insts.max((100.0 / seg.apki * 1e3) as u64);
+        let n_samples = ctl.samples.len() as u64;
+        let sampling_budget = (cfg.total_insts as f64 * 0.4) as u64;
+        let rounds = cfg.sampling_rounds.max(1);
+        let unit_insts = ideal_unit
+            .min(sampling_budget / (n_samples * rounds as u64))
+            .max(1_000);
+        let span = self.tel.span("sampling", self.executed);
+        let mut accums = vec![MetricAccum::default(); ctl.samples.len()];
+        for round in 0..rounds {
+            let round_span = self.tel.span("sampling.round", self.executed);
+            for (accum, config) in accums.iter_mut().zip(&ctl.samples) {
+                let stats = self.measure(*config, unit_insts);
+                self.executed += stats.instructions;
+                accum.add(&stats);
+                seg.periods.sampling.add(&stats);
+                self.totals.sampling.add(&stats);
+            }
+            self.tel.incr("samples_taken", n_samples);
+            self.transition(SpanEnd::BeforeEvents(round_span), [], |_| {
+                Some(Event::SamplingRound {
+                    round: round as u64,
+                    total_rounds: rounds as u64,
+                    samples: n_samples,
+                    unit_insts,
                 })
-                .map(|(slot, _)| slot);
-            let fit_elided = self.cfg.refit_elision && last_segment_healthy && cache_hit.is_some();
-            // Warm start: still coasting on restored models and this
-            // segment's intensity hits the bank — skip the sampling
-            // period outright (`sampling_insts` stays 0, the `--resume`
-            // acceptance criterion).
-            let warm_started = warm_coasting && fit_elided;
+            });
+        }
+        self.tel.close_span(span, self.executed);
+        seg.samples = ctl
+            .samples
+            .iter()
+            .zip(&accums)
+            .map(|(c, a)| (*c, a.metrics(self.wear_budget)))
+            .collect();
+        // Normalize to the *cyclically sampled* baseline anchor: the
+        // pre-window baseline can land inside a single burst phase,
+        // while the anchor sample saw the same phase mixture as every
+        // other sample (the whole point of cyclic fine-grained sampling,
+        // Section 5.2).
+        let anchor = NvmConfig::static_baseline().without_wear_quota();
+        if let Some(idx) = ctl.samples.iter().position(|c| *c == anchor) {
+            self.last_baseline = accums[idx].metrics(self.wear_budget);
+        }
+    }
 
-            // --- Sampling period: cyclic fine-grained sampling. ---
-            let mut accums = vec![MetricAccum::default(); self.samples.len()];
-            let mut seg_sampling = MetricAccum::default();
-            if warm_started {
-                if self.telemetry.enabled() {
-                    self.telemetry.incr("persist.sampling_skipped", 1);
-                }
-            } else {
-                let sampling_span = self.telemetry.span("sampling", executed);
-                for round in 0..rounds {
-                    let round_span = self.telemetry.span("sampling.round", executed);
-                    for (i, cfg) in self.samples.clone().into_iter().enumerate() {
-                        let stats = self.measure(&mut sys, source, cfg, unit_insts, executed);
-                        executed += stats.instructions;
-                        accums[i].add(&stats);
-                        seg_sampling.add(&stats);
-                        total_sampling.add(&stats);
-                    }
-                    self.telemetry.close_span(round_span, executed);
-                    if self.telemetry.enabled() {
-                        self.telemetry.incr("samples_taken", n_samples);
-                        self.telemetry.emit(
-                            executed,
-                            Event::SamplingRound {
-                                round: round as u64,
-                                total_rounds: rounds as u64,
-                                samples: n_samples,
-                                unit_insts,
-                            },
-                        );
-                    }
-                }
-                self.telemetry.close_span(sampling_span, executed);
+    /// Fit the predictor on the samples (or reuse the banked fit, or
+    /// restore a recovered one) and predict every configuration. Returns
+    /// the predictions and the host µs of the fit and predict spans.
+    fn fit_or_elide(&mut self, seg: &Segment) -> (Vec<Metrics>, u64) {
+        let model = self.ctl.cfg.model;
+        let signature = crate::phase::phase_signature(seg.apki);
+        let fit = |model| StateRecord::FitCompleted {
+            segment: seg.index,
+            elided: seg.reuse.is_some(),
+            apki: seg.apki.to_bits(),
+            signature,
+            model,
+        };
+        let (slot, fit_us) = match seg.reuse {
+            Some(slot) => {
+                self.tel.incr("fit.elided", 1);
+                self.transition(SpanEnd::None, [fit(None)], |_| {
+                    Some(Event::FitElided {
+                        segment: seg.index,
+                        signature,
+                        learner: model.short_label().to_string(),
+                    })
+                });
+                (slot, 0)
             }
-            // With sampling skipped, an all-zero sample set would poison
-            // a later ladder-forced refit — keep it empty instead.
-            let mut sample_data: Vec<(NvmConfig, Metrics)> = if warm_started {
-                Vec::new()
-            } else {
-                self.samples
-                    .iter()
-                    .zip(&accums)
-                    .map(|(c, a)| (*c, a.metrics(wear_budget)))
-                    .collect()
-            };
-
-            // Normalize to the *cyclically sampled* baseline anchor: the
-            // pre-window baseline above can land inside a single burst
-            // phase, while the anchor sample saw the same phase mixture as
-            // every other sample (the whole point of cyclic fine-grained
-            // sampling, Section 5.2). A warm-started segment has no
-            // anchor sample; the pre-window baseline stands.
-            if !warm_started {
-                let anchor = NvmConfig::static_baseline().without_wear_quota();
-                if let Some(idx) = self.samples.iter().position(|c| *c == anchor) {
-                    last_baseline = accums[idx].metrics(wear_budget);
-                }
-            }
-            // Health-check reference: accumulated windows of the *actual*
-            // baseline (with its wear quota). The anchor above is
-            // quota-free and would read systematically fast.
-            let mut base_accum = MetricAccum::default();
-            let mut health_checks = 0u32;
-
-            // --- Prediction over the full space. ---
-            // Decision latency (fit + predict_all + optimize, host time)
-            // is the sum of the fit, predict and decide span durations,
-            // so the diagnostics block between them — refits, lasso
-            // reports — is not charged to it.
-            let mut decision_us = 0;
-            // Crash recovery: a fresh fit inside the replayed prefix
-            // restores its persisted model instead of refitting, pinning
-            // the save/restore path to the bit-identical-decisions
-            // contract on every recovery (not only in unit tests).
-            let restored = if fit_elided {
-                None
-            } else {
-                persist
+            None => {
+                let span =
+                    self.tel
+                        .span_with("fit", self.executed, &[("learner", model.short_label())]);
+                // Crash recovery: a fresh fit inside the replayed prefix
+                // restores its persisted model instead of refitting,
+                // pinning the save/restore path to the bit-identical
+                // decisions contract on every recovery.
+                let predictor = match self
+                    .persist
                     .as_ref()
-                    .and_then(|s| s.replayed_fit(seg_index))
-                    .map(MetricsPredictor::from_state)
-            };
-            let predictions;
-            if fit_elided {
-                // Same phase signature, clean health record: the cached
-                // predictor still describes this phase. Skip the fit
-                // span and the diagnostics refits entirely.
-                persist_emit(
-                    &mut persist,
-                    StateRecord::FitCompleted {
-                        segment: seg_index,
-                        elided: true,
-                        apki: apki.to_bits(),
-                        signature: phase_sig,
-                        model: None,
-                    },
-                );
-                if self.telemetry.enabled() {
-                    self.telemetry.incr("fit.elided", 1);
-                    self.telemetry.emit(
-                        executed,
-                        Event::FitElided {
-                            segment: segments.len() as u64,
-                            signature: phase_sig,
-                            learner: self.cfg.model.short_label().to_string(),
-                        },
-                    );
-                }
-                // mct-tidy: allow(P003) -- fit_elided implies a banked hit
-                let predictor = &fit_cache[cache_hit.expect("elision requires a cached fit")].1;
-                let predict_span = self.telemetry.span("predict", executed);
-                predictions = predictor.predict_all(&self.space);
-                decision_us += self.telemetry.close_span(predict_span, executed);
-            } else {
-                let fit_span = self.telemetry.span_with(
-                    "fit",
-                    executed,
-                    &[("learner", self.cfg.model.short_label())],
-                );
-                let restored_hit = restored.is_some();
-                let predictor = if let Some(p) = restored {
-                    p
-                } else {
-                    let mut p = MetricsPredictor::new(self.cfg.model);
-                    p.fit_traced(
-                        &sample_data,
-                        Some(last_baseline),
-                        &mut self.telemetry,
-                        executed,
-                    );
-                    p
+                    .and_then(|s| s.replayed_fit(seg.index))
+                {
+                    Some(state) => {
+                        self.tel.incr("persist.models_restored", 1);
+                        MetricsPredictor::from_state(state)
+                    }
+                    None => self.fresh_fit(&seg.samples),
                 };
-                // The first fresh fit ends warm coasting: from here the
-                // controller's bank is its own, and sampling resumes its
-                // normal cadence.
-                warm_coasting = false;
-                if restored_hit && self.telemetry.enabled() {
-                    self.telemetry.incr("persist.models_restored", 1);
-                }
-                persist_emit(
-                    &mut persist,
-                    StateRecord::FitCompleted {
-                        segment: seg_index,
-                        elided: false,
-                        apki: apki.to_bits(),
-                        signature: phase_sig,
-                        model: predictor.save_state(),
-                    },
-                );
-                decision_us += self.telemetry.close_span(fit_span, executed);
-                let predict_span = self.telemetry.span("predict", executed);
-                predictions = predictor.predict_all(&self.space);
-                decision_us += self.telemetry.close_span(predict_span, executed);
-                if self.telemetry.enabled() {
-                    // Diagnostics-only work (k-fold refits, a lasso report)
-                    // runs solely when a recorder is attached.
-                    self.telemetry.incr("predictor_refits", 1);
-                    let lasso_features = if matches!(
-                        self.cfg.model,
-                        ModelKind::LinearLasso | ModelKind::QuadraticLasso
-                    ) {
-                        let quadratic = self.cfg.model == ModelKind::QuadraticLasso;
-                        lasso_feature_report(&sample_data, 0, quadratic, 0.01)
+                let record = fit(predictor.save_state());
+                let slot = self.bank.insert(seg.apki, predictor);
+                let fit_us = self.transition(SpanEnd::BeforeEvents(span), [record], |_| None);
+                (slot, fit_us)
+            }
+        };
+        let span = self.tel.span("predict", self.executed);
+        let predictions = self.bank.model(slot).predict_all(&self.ctl.space);
+        let predict_us = self.tel.close_span(span, self.executed);
+        if seg.reuse.is_none() {
+            self.tel.incr("predictor_refits", 1);
+            // Diagnostics-only work (k-fold refits, a lasso report) runs
+            // solely when a recorder is attached.
+            self.transition(SpanEnd::None, [], |run| {
+                let lasso_features =
+                    if matches!(model, ModelKind::LinearLasso | ModelKind::QuadraticLasso) {
+                        let quadratic = model == ModelKind::QuadraticLasso;
+                        lasso_feature_report(&seg.samples, 0, quadratic, 0.01)
                             .into_iter()
                             .filter(|(_, w)| w.abs() > 1e-6)
                             .collect()
                     } else {
                         Vec::new()
                     };
-                    self.telemetry.emit(
-                        executed,
-                        Event::PredictorFitted {
-                            model: self.cfg.model.label().to_string(),
-                            n_samples: sample_data.len() as u64,
-                            cv_r2_ipc: predictor.cv_r2_ipc(&sample_data, 4),
-                            lasso_features,
-                        },
-                    );
-                }
-                // Bank the fresh fit: refresh the slot covering this
-                // intensity if one exists, else evict the oldest entry.
-                if let Some(slot) = cache_hit {
-                    fit_cache[slot] = (apki, predictor);
-                } else {
-                    if fit_cache.len() == FIT_CACHE_SLOTS {
-                        fit_cache.remove(0);
-                    }
-                    fit_cache.push((apki, predictor));
-                }
-            }
+                Some(Event::PredictorFitted {
+                    model: model.label().to_string(),
+                    n_samples: seg.samples.len() as u64,
+                    cv_r2_ipc: run.bank.model(slot).cv_r2_ipc(&seg.samples, 4),
+                    lasso_features,
+                })
+            });
+        }
+        (predictions, fit_us + predict_us)
+    }
 
-            // --- Constrained optimization + wear-quota fixup. ---
-            let decide_span = self.telemetry.span("decide", executed);
-            let mut opt = optimize(
-                &self.space,
-                &predictions,
-                &self.objective,
-                self.baseline_config,
-                self.cfg.quota_fixup,
-            );
-            chosen = opt.config;
-            decision_us += self.telemetry.close_span(decide_span, executed);
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .observe("decision.latency_us", decision_us as f64);
-                self.telemetry.observe_with(
-                    "decision.latency_us",
-                    &[("learner", self.cfg.model.short_label())],
-                    decision_us as f64,
-                );
-                if opt.fell_back {
-                    self.telemetry.incr("optimizer_fallbacks", 1);
-                }
-                let floor = self.objective.lifetime_floor();
-                self.telemetry.emit(
-                    executed,
-                    Event::ConfigSelected {
-                        config: chosen.to_string(),
-                        config_before_fixup: opt
-                            .fixup_changed()
-                            .then(|| opt.config_before_fixup.to_string()),
-                        predicted: opt.predicted,
-                        lifetime_slack_years: opt.predicted.lifetime_years - floor.unwrap_or(0.0),
-                        quota_fixup_applied: self.cfg.quota_fixup && floor.is_some(),
-                        fell_back: opt.fell_back,
-                    },
-                );
-            }
-            persist_emit(
-                &mut persist,
-                StateRecord::DecisionMade {
-                    segment: seg_index,
-                    config: chosen,
-                    predicted: opt.predicted.into(),
-                    fell_back: opt.fell_back,
-                    refit: false,
-                },
-            );
+    /// Constrained optimization over the predictions, with the
+    /// wear-quota fixup (Section 5.3).
+    fn decide(&mut self, seg: &Segment, predicted: &[Metrics], fit_us: u64) -> OptimizationResult {
+        let span = self.tel.span("decide", self.executed);
+        let opt = self.select(predicted);
+        self.chosen = opt.config;
+        let record = decision_record(seg.index, &opt, false);
+        let decide_us = self.transition(SpanEnd::BeforeEvents(span), [record], |run| {
+            let floor = run.ctl.objective.lifetime_floor();
+            Some(Event::ConfigSelected {
+                config: opt.config.to_string(),
+                config_before_fixup: opt
+                    .fixup_changed()
+                    .then(|| opt.config_before_fixup.to_string()),
+                predicted: opt.predicted,
+                lifetime_slack_years: opt.predicted.lifetime_years - floor.unwrap_or(0.0),
+                quota_fixup_applied: run.ctl.cfg.quota_fixup && floor.is_some(),
+                fell_back: opt.fell_back,
+            })
+        });
+        // Decision latency (fit + predict_all + optimize, host time) is
+        // the sum of the fit, predict and decide span durations, so the
+        // diagnostics between them — k-fold refits, lasso reports — are
+        // not charged to it.
+        let latency_us = (fit_us + decide_us) as f64;
+        self.tel.observe("decision.latency_us", latency_us);
+        self.tel.observe_with(
+            "decision.latency_us",
+            &[("learner", self.ctl.cfg.model.short_label())],
+            latency_us,
+        );
+        if opt.fell_back {
+            self.tel.incr("optimizer_fallbacks", 1);
+        }
+        opt
+    }
 
-            // --- Testing period with health checks & phase detection. ---
-            // The measured region is finalized only at health-check and
-            // phase boundaries (not per window): finalizing drains the
-            // write queues, and doing so every window would deflate the
-            // testing IPC relative to the long-window methodology the
-            // static/ideal references are measured with.
-            sys.set_policy(chosen.to_policy());
-            sys.run_window(source, self.cfg.phase.window_insts / 4); // settle
-            executed += self.cfg.phase.window_insts / 4;
-            sys.reset_stats();
-            detector.reset();
-            let testing_span = self.telemetry.span("testing", executed);
-            let mut seg_testing = MetricAccum::default();
-            let mut health_fallback = false;
-            let mut seg_health_ok = true;
-            let mut windows: u64 = 0;
-            let mut phase_change = false;
-            while executed < self.cfg.total_insts {
-                let before = sys.perf_counters();
-                sys.run_window(source, self.cfg.phase.window_insts);
-                let after = sys.perf_counters();
-                executed += self.cfg.phase.window_insts;
-                windows += 1;
-                let workload = after.workload_since(&before) as f64;
-                if detector.observe(workload) {
-                    phase_change = true;
-                    if self.telemetry.enabled() {
-                        self.telemetry.incr("phase_changes", 1);
-                        self.telemetry.emit(
-                            executed,
-                            Event::PhaseDetected {
-                                score: detector.last_score(),
-                                phases_detected: detector.phases_detected(),
-                                mean_workload: workload * 1e3 / self.cfg.phase.window_insts as f64,
-                            },
-                        );
-                    }
-                }
-                if phase_change {
-                    let stats = sys.finalize();
-                    seg_testing.add(&stats);
-                    total_testing.add(&stats);
-                    sys.reset_stats();
+    /// The testing period under the chosen configuration: feed the phase
+    /// detector window by window and health-check periodically, until a
+    /// phase change, a re-sample, or the end of the budget. Returns the
+    /// `testing` span, which closes when the segment finishes.
+    ///
+    /// The measured region is finalized only at health-check and phase
+    /// boundaries (not per window): finalizing drains the write queues,
+    /// and doing so every window would deflate the testing IPC relative
+    /// to the long-window methodology the static/ideal references are
+    /// measured with.
+    fn test(&mut self, seg: &mut Segment, opt: &mut OptimizationResult) -> SpanGuard {
+        let cfg = &self.ctl.cfg;
+        self.settle();
+        self.detector.reset();
+        let span = self.tel.span("testing", self.executed);
+        let mut windows: u64 = 0;
+        while self.executed < cfg.total_insts {
+            let before = self.sys.perf_counters();
+            self.sys.run_window(self.source, cfg.phase.window_insts);
+            let workload = self.sys.perf_counters().workload_since(&before) as f64;
+            self.executed += cfg.phase.window_insts;
+            windows += 1;
+            if self.detector.observe(workload) {
+                self.tel.incr("phase_changes", 1);
+                self.transition(SpanEnd::None, [], |run| {
+                    Some(Event::PhaseDetected {
+                        score: run.detector.last_score(),
+                        phases_detected: run.detector.phases_detected(),
+                        mean_workload: workload * 1e3 / cfg.phase.window_insts as f64,
+                    })
+                });
+                self.flush_testing(seg);
+                break;
+            }
+            let every = cfg.health_check_every_windows;
+            if !seg.health_fallback && every > 0 && windows.is_multiple_of(every) {
+                if self.health_check(seg, opt) {
                     break;
                 }
-                // Periodic health check: run the baseline briefly and
-                // demote the choice if it underperforms (Section 5.4).
-                if !health_fallback
-                    && self.cfg.health_check_every_windows > 0
-                    && windows.is_multiple_of(self.cfg.health_check_every_windows)
-                {
-                    let health_span = self.telemetry.span("health_check", executed);
-                    let stats = sys.finalize();
-                    seg_testing.add(&stats);
-                    total_testing.add(&stats);
-                    sys.reset_stats();
-                    let hc = self.measure(
-                        &mut sys,
-                        source,
-                        self.baseline_config,
-                        self.cfg.health_check_insts,
-                        executed,
-                    );
-                    executed += hc.instructions;
-                    // Accumulate baseline health-check windows so the
-                    // reference covers the same phase mixture the testing
-                    // aggregate does (one window is burst-biased); only
-                    // act once at least two windows accumulated.
-                    base_accum.add(&hc);
-                    health_checks += 1;
-                    let health_baseline = base_accum.metrics(wear_budget);
-                    let testing_so_far = seg_testing.metrics(wear_budget);
-                    let failed = DegradationLadder::reading_failed(
-                        health_checks,
-                        testing_so_far.ipc,
-                        health_baseline.ipc,
-                        testing_so_far.lifetime_years,
-                        self.objective.lifetime_floor(),
-                    );
-                    // A failed check escalates the degradation ladder one
-                    // rung: re-sample, then refit, then the paper's
-                    // revert-to-static fallback (Section 5.4).
-                    if failed {
-                        seg_health_ok = false;
-                    }
-                    persist_emit(
-                        &mut persist,
-                        StateRecord::HealthChecked {
-                            segment: seg_index,
-                            check: health_checks,
-                            passed: !failed,
-                            testing_ipc: testing_so_far.ipc.to_bits(),
-                            baseline_ipc: health_baseline.ipc.to_bits(),
-                        },
-                    );
-                    let (action, transition) = ladder.observe(failed);
-                    if let Some(tr) = &transition {
-                        persist_emit(
-                            &mut persist,
-                            StateRecord::LadderMoved {
-                                segment: seg_index,
-                                from: tr.from,
-                                to: tr.to,
-                                failures: tr.failures,
-                            },
-                        );
-                    }
-                    let mut resample = false;
-                    match action {
-                        DegradationAction::None => {}
-                        DegradationAction::Resample => resample = true,
-                        DegradationAction::Refit => {
-                            // Fold the degraded testing observation into
-                            // the sample set and re-optimize in place, so
-                            // the model sees how the choice actually ran.
-                            let refit_span = self.telemetry.span("refit", executed);
-                            sample_data.push((chosen, testing_so_far));
-                            let mut refit = MetricsPredictor::new(self.cfg.model);
-                            refit.fit_traced(
-                                &sample_data,
-                                Some(last_baseline),
-                                &mut self.telemetry,
-                                executed,
-                            );
-                            let repredictions = refit.predict_all(&self.space);
-                            opt = optimize(
-                                &self.space,
-                                &repredictions,
-                                &self.objective,
-                                self.baseline_config,
-                                self.cfg.quota_fixup,
-                            );
-                            chosen = opt.config;
-                            self.telemetry.close_span(refit_span, executed);
-                            persist_emit(
-                                &mut persist,
-                                StateRecord::DecisionMade {
-                                    segment: seg_index,
-                                    config: chosen,
-                                    predicted: opt.predicted.into(),
-                                    fell_back: opt.fell_back,
-                                    refit: true,
-                                },
-                            );
-                            // The degraded refit mixed testing data into
-                            // the sample set; it is not a clean phase fit
-                            // and must never be reused by elision.
-                            fit_cache.clear();
-                            warm_coasting = false;
-                        }
-                        DegradationAction::RevertToStatic => {
-                            health_fallback = true;
-                            chosen = self.baseline_config;
-                            fit_cache.clear();
-                            warm_coasting = false;
-                        }
-                    }
-                    if self.telemetry.enabled() {
-                        self.telemetry.incr("health_checks", 1);
-                        if health_fallback {
-                            self.telemetry.incr("health_fallbacks", 1);
-                        }
-                        self.telemetry.emit(
-                            executed,
-                            Event::HealthCheck {
-                                testing_ipc: testing_so_far.ipc,
-                                baseline_ipc: health_baseline.ipc,
-                                passed: !failed,
-                                fallback_taken: health_fallback,
-                            },
-                        );
-                        if let Some(tr) = transition {
-                            self.telemetry.incr("degradation_transitions", 1);
-                            self.telemetry.emit(
-                                executed,
-                                Event::DegradationTransition {
-                                    from: tr.from.label().to_string(),
-                                    to: tr.to.label().to_string(),
-                                    failures: tr.failures,
-                                    testing_ipc: testing_so_far.ipc,
-                                    baseline_ipc: health_baseline.ipc,
-                                    // Clamp: JSON has no Infinity literal.
-                                    lifetime_years: testing_so_far.lifetime_years.min(1e9),
-                                },
-                            );
-                        }
-                    }
-                    self.telemetry.close_span(health_span, executed);
-                    if resample {
-                        // Rung 1: abandon the testing period and restart
-                        // the segment so sampling observes the degraded
-                        // regime. Stats were finalized and reset above, so
-                        // the tail flush below is a no-op.
-                        break;
-                    }
-                    sys.set_policy(chosen.to_policy());
-                    sys.run_window(source, self.cfg.phase.window_insts / 4);
-                    executed += self.cfg.phase.window_insts / 4;
-                    sys.reset_stats();
-                }
+                self.settle();
             }
-            // Flush the tail of the measured region. The wear meter is
-            // snapshotted after the finalize (it still covers the final
-            // measured epoch) and before the reset clears it.
-            let seg_wear_meter = {
-                let stats = sys.finalize();
-                if stats.instructions > 0 {
-                    seg_testing.add(&stats);
-                    total_testing.add(&stats);
-                }
-                let snap = sys.wear_snapshot();
-                sys.reset_stats();
-                snap
-            };
-            last_segment_healthy = seg_health_ok;
-            self.telemetry.close_span(testing_span, executed);
-            let seg_testing_metrics =
-                realized(wear_budget, &seg_testing, &seg_sampling, &seg_baseline);
-            if self.telemetry.enabled() {
-                self.telemetry.emit(
-                    executed,
-                    Event::SegmentCompleted {
-                        segment: segments.len() as u64,
-                        config: chosen.to_string(),
-                        predicted: (!opt.fell_back).then_some(opt.predicted),
-                        realized: seg_testing_metrics,
-                        insts: seg_sampling.insts + seg_testing.insts,
-                    },
-                );
-            }
-
-            persist_emit(
-                &mut persist,
-                StateRecord::WearDelta {
-                    segment: seg_index,
-                    sampling_wear: seg_sampling.wear_units.to_bits(),
-                    testing_wear: seg_testing.wear_units.to_bits(),
-                    meter: seg_wear_meter,
-                },
-            );
-            persist_emit(
-                &mut persist,
-                StateRecord::SegmentCompleted {
-                    segment: seg_index,
-                    chosen,
-                    health_fallback,
-                    fit_elided,
-                    warm_started,
-                    sampling_insts: seg_sampling.insts,
-                    testing_insts: seg_testing.insts,
-                    testing: seg_testing_metrics.into(),
-                },
-            );
-            // Segment boundaries compact the log into a snapshot (a
-            // no-op while recovery is still verifying the prefix, and
-            // after an injected crash).
-            if let Some(session) = persist.as_mut() {
-                let snap_span = self.telemetry.span("persist.snapshot", executed);
-                session
-                    .checkpoint()
-                    // mct-tidy: allow(P003) -- documented `# Panics` contract: a failing store must not be ignored
-                    .expect("persist: segment snapshot failed");
-                self.telemetry.close_span(snap_span, executed);
-            }
-
-            segments.push(SegmentReport {
-                optimization: opt,
-                baseline: last_baseline,
-                sampling: seg_sampling.metrics(wear_budget),
-                testing: seg_testing_metrics,
-                health_fallback,
-                fit_elided,
-                warm_started,
-                sampling_insts: seg_sampling.insts,
-                testing_insts: seg_testing.insts,
-            });
-            self.telemetry.close_span(segment_span, executed);
         }
+        span
+    }
 
-        let final_metrics = realized(
-            wear_budget,
-            &total_testing,
-            &total_sampling,
-            &total_baseline,
+    /// One periodic health check (Section 5.4): run the baseline briefly
+    /// and, on a failed reading, escalate the degradation ladder one rung
+    /// — re-sample, then refit, then the paper's revert-to-static
+    /// fallback. Returns whether the segment must restart to re-sample.
+    fn health_check(&mut self, seg: &mut Segment, opt: &mut OptimizationResult) -> bool {
+        let ctl = self.ctl;
+        let span = self.tel.span("health_check", self.executed);
+        self.flush_testing(seg);
+        let stats = self.measure(ctl.baseline_config, ctl.cfg.health_check_insts);
+        self.executed += stats.instructions;
+        // Accumulate baseline health-check windows so the reference
+        // covers the same phase mixture the testing aggregate does (one
+        // window is burst-biased); only act once at least two windows
+        // accumulated.
+        seg.health_reference.add(&stats);
+        seg.health_checks += 1;
+        let reference = seg.health_reference.metrics(self.wear_budget);
+        let testing = seg.periods.testing.metrics(self.wear_budget);
+        let failed = DegradationLadder::reading_failed(
+            seg.health_checks,
+            testing.ipc,
+            reference.ipc,
+            testing.lifetime_years,
+            ctl.objective.lifetime_floor(),
         );
-        persist_emit(
-            &mut persist,
-            StateRecord::RunCompleted {
-                executed,
-                chosen,
-                segments: segments.len() as u64,
-                final_metrics: final_metrics.into(),
+        seg.healthy &= !failed;
+        let mut records = vec![StateRecord::HealthChecked {
+            segment: seg.index,
+            check: seg.health_checks,
+            passed: !failed,
+            testing_ipc: testing.ipc.to_bits(),
+            baseline_ipc: reference.ipc.to_bits(),
+        }];
+        let (action, moved) = self.ladder.observe(failed);
+        records.extend(moved.map(|tr| StateRecord::LadderMoved {
+            segment: seg.index,
+            from: tr.from,
+            to: tr.to,
+            failures: tr.failures,
+        }));
+        match action {
+            DegradationAction::None | DegradationAction::Resample => {}
+            DegradationAction::Refit => {
+                // Fold the degraded testing observation into the sample
+                // set and re-optimize in place, so the model sees how the
+                // choice actually ran.
+                let refit_span = self.tel.span("refit", self.executed);
+                seg.samples.push((self.chosen, testing));
+                let refit = self.fresh_fit(&seg.samples);
+                *opt = self.select(&refit.predict_all(&ctl.space));
+                self.chosen = opt.config;
+                self.tel.close_span(refit_span, self.executed);
+                records.push(decision_record(seg.index, opt, true));
+            }
+            DegradationAction::RevertToStatic => {
+                seg.health_fallback = true;
+                self.chosen = ctl.baseline_config;
+            }
+        }
+        self.bank.apply(action);
+        self.tel.incr("health_checks", 1);
+        if seg.health_fallback {
+            self.tel.incr("health_fallbacks", 1);
+        }
+        if moved.is_some() {
+            self.tel.incr("degradation_transitions", 1);
+        }
+        let fallback_taken = seg.health_fallback;
+        self.transition(SpanEnd::AfterEvents(span), records, |_| {
+            let check = Event::HealthCheck {
+                testing_ipc: testing.ipc,
+                baseline_ipc: reference.ipc,
+                passed: !failed,
+                fallback_taken,
+            };
+            let moved = moved.map(|tr| Event::DegradationTransition {
+                from: tr.from.label().to_string(),
+                to: tr.to.label().to_string(),
+                failures: tr.failures,
+                testing_ipc: testing.ipc,
+                baseline_ipc: reference.ipc,
+                // Clamp: JSON has no Infinity literal.
+                lifetime_years: testing.lifetime_years.min(1e9),
+            });
+            std::iter::once(check).chain(moved)
+        });
+        // Rung 1 abandons the testing period and restarts the segment so
+        // sampling observes the degraded regime. Stats were finalized and
+        // reset above, so the segment's tail flush is a no-op.
+        action == DegradationAction::Resample
+    }
+
+    /// Close the segment: flush the tail of the measured region, then
+    /// report it, persist it and compact the log.
+    fn finish_segment(&mut self, mut seg: Segment, opt: OptimizationResult, testing: SpanGuard) {
+        let meter = self.flush_testing(&mut seg);
+        self.last_segment_healthy = seg.healthy;
+        let report = SegmentReport {
+            optimization: opt,
+            baseline: self.last_baseline,
+            sampling: seg.periods.sampling.metrics(self.wear_budget),
+            testing: seg.periods.realized(self.wear_budget),
+            health_fallback: seg.health_fallback,
+            fit_elided: seg.reuse.is_some(),
+            warm_started: seg.warm_started,
+            sampling_insts: seg.periods.sampling.insts,
+            testing_insts: seg.periods.testing.insts,
+        };
+        let records = [
+            StateRecord::WearDelta {
+                segment: seg.index,
+                sampling_wear: seg.periods.sampling.wear_units.to_bits(),
+                testing_wear: seg.periods.testing.wear_units.to_bits(),
+                meter,
             },
-        );
-        if let Some(session) = persist.as_mut() {
-            // The final snapshot compacts a clean run to one snapshot
-            // whose log ends in `run_completed` — the warm-start source
-            // for the next `--resume`.
+            StateRecord::SegmentCompleted {
+                segment: seg.index,
+                chosen: self.chosen,
+                health_fallback: report.health_fallback,
+                fit_elided: report.fit_elided,
+                warm_started: report.warm_started,
+                sampling_insts: report.sampling_insts,
+                testing_insts: report.testing_insts,
+                testing: report.testing.into(),
+            },
+        ];
+        self.transition(SpanEnd::BeforeEvents(testing), records, |run| {
+            Some(Event::SegmentCompleted {
+                segment: seg.index,
+                config: run.chosen.to_string(),
+                predicted: (!report.optimization.fell_back)
+                    .then_some(report.optimization.predicted),
+                realized: report.testing,
+                insts: report.sampling_insts + report.testing_insts,
+            })
+        });
+        // Segment boundaries compact the log into a snapshot (a no-op
+        // while recovery is still verifying the prefix, and after an
+        // injected crash).
+        if let Some(session) = self.persist.as_mut() {
+            let span = self.tel.span("persist.snapshot", self.executed);
+            session
+                .checkpoint()
+                // mct-tidy: allow(P003) -- documented `# Panics` contract: a failing store must not be ignored
+                .expect("persist: segment snapshot failed");
+            self.tel.close_span(span, self.executed);
+        }
+        self.segments.push(report);
+        self.tel.close_span(seg.span, self.executed);
+    }
+
+    /// End the run: persist its completion, compact the log, and hand
+    /// back the outcome and the telemetry. `span` is the `run` span.
+    fn finish(mut self, span: SpanGuard) -> (Outcome, Telemetry) {
+        let final_metrics = self.totals.realized(self.wear_budget);
+        let record = StateRecord::RunCompleted {
+            executed: self.executed,
+            chosen: self.chosen,
+            segments: self.segments.len() as u64,
+            final_metrics: final_metrics.into(),
+        };
+        self.transition(SpanEnd::AfterEvents(span), [record], |run| {
+            let fallbacks = run
+                .segments
+                .iter()
+                .filter(|s| s.health_fallback || s.optimization.fell_back)
+                .count() as u64;
+            Some(Event::RunCompleted {
+                segments: run.segments.len() as u64,
+                total_insts: run.executed,
+                fallbacks,
+                metrics: final_metrics,
+            })
+        });
+        // The final snapshot compacts a clean run to one snapshot whose
+        // log ends in `run_completed` — the warm-start source for the
+        // next `--resume`.
+        if let Some(session) = self.persist.as_mut() {
             session
                 .checkpoint()
                 // mct-tidy: allow(P003) -- documented `# Panics` contract: a failing store must not be ignored
                 .expect("persist: final snapshot failed");
-            if self.telemetry.enabled() {
-                self.telemetry.incr("persist.appends", session.appends());
-                self.telemetry
-                    .incr("persist.snapshots", session.snapshots());
-            }
+            self.tel.incr("persist.appends", session.appends());
+            self.tel.incr("persist.snapshots", session.snapshots());
         }
-        if self.telemetry.enabled() {
-            let fallbacks = segments
-                .iter()
-                .filter(|s| s.health_fallback || s.optimization.fell_back)
-                .count() as u64;
-            self.telemetry.emit(
-                executed,
-                Event::RunCompleted {
-                    segments: segments.len() as u64,
-                    total_insts: executed,
-                    fallbacks,
-                    metrics: final_metrics,
-                },
-            );
-            self.telemetry.close_span(run_span, executed);
-            self.telemetry.finish(executed);
-        }
-        Outcome {
-            chosen_config: chosen,
+        self.tel.finish(self.executed);
+        let outcome = Outcome {
+            chosen_config: self.chosen,
             final_metrics,
-            sampling_metrics: total_sampling.metrics(wear_budget),
-            baseline_metrics: last_baseline,
-            phases_detected: detector.phases_detected(),
-            segments,
-            sampling_insts: total_sampling.insts,
-            testing_insts: total_testing.insts,
+            sampling_metrics: self.totals.sampling.metrics(self.wear_budget),
+            baseline_metrics: self.last_baseline,
+            phases_detected: self.detector.phases_detected(),
+            segments: self.segments,
+            sampling_insts: self.totals.sampling.insts,
+            testing_insts: self.totals.testing.insts,
+        };
+        (outcome, self.tel)
+    }
+
+    /// A fresh predictor fitted on `samples` against the current baseline.
+    fn fresh_fit(&mut self, samples: &[(NvmConfig, Metrics)]) -> MetricsPredictor {
+        let mut predictor = MetricsPredictor::new(self.ctl.cfg.model);
+        predictor.fit_traced(
+            samples,
+            Some(self.last_baseline),
+            &mut self.tel,
+            self.executed,
+        );
+        predictor
+    }
+
+    /// The objective-optimal configuration over `predictions`.
+    fn select(&self, predictions: &[Metrics]) -> OptimizationResult {
+        let ctl = self.ctl;
+        optimize(
+            &ctl.space,
+            predictions,
+            &ctl.objective,
+            ctl.baseline_config,
+            ctl.cfg.quota_fixup,
+        )
+    }
+
+    /// Switch to the chosen configuration and let the queues refill for
+    /// a quarter window, unmeasured, before testing (re)starts.
+    fn settle(&mut self) {
+        let insts = self.ctl.cfg.phase.window_insts / 4;
+        self.sys.set_policy(self.chosen.to_policy());
+        self.sys.run_window(self.source, insts);
+        self.executed += insts;
+        self.sys.reset_stats();
+    }
+
+    /// Finalize the measured testing region (draining the write queues),
+    /// fold it into the segment's and the run's testing totals, and
+    /// restart the counters. Returns the wear meter, snapshotted after
+    /// the finalize (so it covers the final measured epoch) and before
+    /// the reset clears it.
+    fn flush_testing(&mut self, seg: &mut Segment) -> WearSnapshot {
+        let stats = self.sys.finalize();
+        if stats.instructions > 0 {
+            seg.periods.testing.add(&stats);
+            self.totals.testing.add(&stats);
         }
+        let meter = self.sys.wear_snapshot();
+        self.sys.reset_stats();
+        meter
     }
 
     /// Run one measurement window under `config` and return its stats.
@@ -1204,17 +1152,10 @@ impl Controller {
     /// measured region is wrapped in a `sim.window` leaf span — the
     /// profiler's view of raw simulator time under whichever stage
     /// requested the window.
-    fn measure<S: AccessSource>(
-        &mut self,
-        sys: &mut System,
-        source: &mut S,
-        config: NvmConfig,
-        insts: u64,
-        executed: u64,
-    ) -> RunStats {
-        sys.set_policy(config.to_policy());
-        sys.run_window(source, (insts / 4).max(500));
-        sys.reset_stats();
+    fn measure(&mut self, config: NvmConfig, insts: u64) -> RunStats {
+        self.sys.set_policy(config.to_policy());
+        self.sys.run_window(self.source, (insts / 4).max(500));
+        self.sys.reset_stats();
         // One recorder gate for the whole probe: with the default
         // NullRecorder the measured region runs with zero telemetry calls
         // in front of it (each span/observe call would branch on its own,
@@ -1224,18 +1165,18 @@ impl Controller {
         // only advances it after the window returns, and constant edges
         // keep the trace's sim_insts monotone. Duration lives in wall_us.
         let probe = self
-            .telemetry
+            .tel
             .enabled()
-            .then(|| self.telemetry.span("sim.window", executed));
-        sys.run_window(source, insts);
-        let stats = sys.finalize();
-        sys.reset_stats();
+            .then(|| self.tel.span("sim.window", self.executed));
+        self.sys.run_window(self.source, insts);
+        let stats = self.sys.finalize();
+        self.sys.reset_stats();
         if let Some(window_span) = probe {
-            let host_us = self.telemetry.close_span(window_span, executed);
+            let host_us = self.tel.close_span(window_span, self.executed);
             let accesses = stats.mem.reads_completed + stats.mem.writes_completed();
-            self.telemetry.incr("sim.accesses", accesses);
+            self.tel.incr("sim.accesses", accesses);
             if host_us > 0 && accesses > 0 {
-                self.telemetry.observe(
+                self.tel.observe(
                     "sim.accesses_per_sec",
                     accesses as f64 * 1e6 / host_us as f64,
                 );
@@ -1245,19 +1186,14 @@ impl Controller {
     }
 }
 
-/// Append (or, during recovery, verify) one state record. A no-op when
-/// persistence is off — `None` costs one branch on the hot path.
-///
-/// # Panics
-/// Panics on store failure or on divergence between re-execution and a
-/// recovered log: the crash-recovery contract is bit-identical
-/// re-execution, so a mismatch is a bug that must surface immediately —
-/// continuing would persist split-brain state.
-fn persist_emit(session: &mut Option<PersistSession>, record: StateRecord) {
-    if let Some(s) = session.as_mut() {
-        s.emit(record)
-            // mct-tidy: allow(P003) -- documented `# Panics` contract: divergence must fail loudly, never persist split-brain state
-            .expect("persist: state record rejected");
+/// The state record of a decision (`refit`: one the ladder forced).
+fn decision_record(segment: u64, opt: &OptimizationResult, refit: bool) -> StateRecord {
+    StateRecord::DecisionMade {
+        segment,
+        config: opt.config,
+        predicted: opt.predicted.into(),
+        fell_back: opt.fell_back,
+        refit,
     }
 }
 

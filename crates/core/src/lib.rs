@@ -40,6 +40,7 @@
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod bank;
 pub mod config;
 pub mod controller;
 pub mod degrade;

@@ -29,9 +29,12 @@
 //!   bit-identity contract — on every recovery, not just in unit tests.
 //!
 //! A log that ends in [`StateRecord::RunCompleted`] is a *clean* store:
-//! resuming from it warm-starts the next run — the fitted models from the
-//! snapshot pre-seed the controller's refit-elision bank, and segments
-//! that hit the bank skip their sampling period outright.
+//! resuming from it warm-starts the next run with the elision bank that
+//! replaying the log through the controller's own [`FitBank`] yields, and
+//! segments that hit the bank skip their sampling period outright. The
+//! warm run logs that bank as [`StateRecord::WarmSeeded`] records right
+//! after `run_started`, so recovering it re-seeds the same bank and a
+//! later resume harvests it again.
 //!
 //! Snapshots are skipped while the cursor is still inside the prefix:
 //! compacting mid-verification would discard WAL records that have not
@@ -50,9 +53,10 @@ use mct_persist::{CrashPoint, PersistError, Replay, StateStore, TornTail};
 use mct_sim::stats::Metrics;
 use mct_sim::WearSnapshot;
 
+use crate::bank::{FitBank, BANK_SLOTS};
 use crate::config::NvmConfig;
 use crate::controller::ControllerConfig;
-use crate::degrade::DegradationStage;
+use crate::degrade::{DegradationLadder, DegradationStage};
 use crate::predictor::ModelKind;
 
 /// The workspace's one content hash, shared with the experiment cache.
@@ -65,9 +69,8 @@ pub use mct_persist::fnv1a64;
 pub const STATE_SCHEMA_VERSION: u32 = 1;
 
 /// How many trailing fresh-fit records keep their full model payload in
-/// a snapshot body. Matches the controller's refit-elision bank depth:
-/// older models could never be reused anyway.
-pub const SNAPSHOT_MODEL_SLOTS: usize = 4;
+/// a snapshot body. Matches the controller's refit-elision bank depth.
+pub const SNAPSHOT_MODEL_SLOTS: usize = BANK_SLOTS;
 
 /// [`Metrics`] as raw IEEE-754 bit patterns.
 ///
@@ -140,6 +143,16 @@ pub enum StateRecord {
         total_insts: u64,
         /// [`config_digest`] of the full controller config.
         config_digest: u64,
+    },
+    /// One model of a warm start's elision bank, as harvested from the
+    /// prior clean run. Warm-started runs write one per banked model,
+    /// oldest first, right after `RunStarted` (one record each keeps a
+    /// snapshot's encoding to one model payload at a time).
+    WarmSeeded {
+        /// Workload intensity bits the model was fitted at.
+        apki: u64,
+        /// The banked model.
+        model: PredictorState,
     },
     /// A sampling→optimize→test segment began.
     SegmentStarted {
@@ -258,25 +271,6 @@ pub enum StateRecord {
     },
 }
 
-impl StateRecord {
-    /// Stable lower-snake label for reports and error messages.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            StateRecord::RunStarted { .. } => "run_started",
-            StateRecord::SegmentStarted { .. } => "segment_started",
-            StateRecord::BaselineMeasured { .. } => "baseline_measured",
-            StateRecord::FitCompleted { .. } => "fit_completed",
-            StateRecord::DecisionMade { .. } => "decision_made",
-            StateRecord::HealthChecked { .. } => "health_checked",
-            StateRecord::LadderMoved { .. } => "ladder_moved",
-            StateRecord::WearDelta { .. } => "wear_delta",
-            StateRecord::SegmentCompleted { .. } => "segment_completed",
-            StateRecord::RunCompleted { .. } => "run_completed",
-        }
-    }
-}
-
 /// Snapshot payload: the complete record history of the run so far,
 /// with model payloads pruned from all but the newest fits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -349,9 +343,6 @@ pub fn config_digest(cfg: &ControllerConfig) -> u64 {
 /// serialization to the bit-identity contract).
 #[must_use]
 pub fn records_match(persisted: &StateRecord, emitted: &StateRecord) -> bool {
-    if persisted == emitted {
-        return true;
-    }
     match (persisted, emitted) {
         (
             StateRecord::FitCompleted { model: None, .. },
@@ -363,7 +354,7 @@ pub fn records_match(persisted: &StateRecord, emitted: &StateRecord) -> bool {
             }
             *persisted == stripped
         }
-        _ => false,
+        _ => persisted == emitted,
     }
 }
 
@@ -490,30 +481,35 @@ fn decode_replay(replay: &Replay) -> Result<Vec<StateRecord>, RecoverError> {
     Ok(out)
 }
 
-/// Harvest warm-start models from a clean (completed) run's records:
-/// fresh fits with persisted models, invalidated — exactly as the live
-/// elision bank is — by any ladder-forced refit or revert after them,
-/// capped to the newest [`SNAPSHOT_MODEL_SLOTS`].
+/// Harvest the warm-start bank from a clean run's records by replaying
+/// them through the controller's [`FitBank`]: the seeded bank, then every
+/// fresh fit, with each health check fed to a [`DegradationLadder`] for
+/// the clears the live run made. Fits whose payload was pruned (or that
+/// have no serializable form) cannot be restored and are left out.
 fn harvest_warm(records: &[StateRecord]) -> Vec<(u64, PredictorState)> {
-    let mut bank: Vec<(u64, PredictorState)> = Vec::new();
+    let mut bank = FitBank::default();
+    let mut ladder = DegradationLadder::new();
     for rec in records {
         match rec {
+            StateRecord::WarmSeeded { apki, model } => {
+                bank.seed([(f64::from_bits(*apki), Some(model.clone()))]);
+            }
             StateRecord::FitCompleted {
                 elided: false,
                 apki,
-                model: Some(state),
+                model,
                 ..
-            } => bank.push((*apki, state.clone())),
-            StateRecord::LadderMoved { to, .. } if *to >= DegradationStage::Refit => {
-                bank.clear();
+            } => {
+                bank.insert(f64::from_bits(*apki), model.clone());
             }
+            StateRecord::HealthChecked { passed, .. } => bank.apply(ladder.observe(!passed).0),
             _ => {}
         }
     }
-    if bank.len() > SNAPSHOT_MODEL_SLOTS {
-        bank.drain(..bank.len() - SNAPSHOT_MODEL_SLOTS);
-    }
-    bank
+    bank.into_entries()
+        .into_iter()
+        .filter_map(|(apki, model)| Some((apki.to_bits(), model?)))
+        .collect()
 }
 
 /// Strip model payloads from all but the newest
@@ -536,6 +532,21 @@ fn prune_models(records: &[StateRecord]) -> Vec<StateRecord> {
     out
 }
 
+/// Encode [`SnapshotBody`] for `records`, models pruned, a record at a
+/// time: the serializer's intermediate tree is several times the text's
+/// size, and one tree for the whole body would hold every payload's.
+fn encode_snapshot(records: &[StateRecord]) -> Result<String, RecoverError> {
+    let mut text = format!("{{\"schema\":{STATE_SCHEMA_VERSION},\"records\":[");
+    for (i, record) in prune_models(records).iter().enumerate() {
+        let json = serde_json::to_string(record)
+            .map_err(|e| PersistError::Io(format!("encode snapshot: {e}")))?;
+        text.push_str(if i == 0 { "" } else { "," });
+        text.push_str(&json);
+    }
+    text.push_str("]}");
+    Ok(text)
+}
+
 /// The controller's live persistence session: verified replay of a
 /// recovered prefix, then append-ahead logging, with segment-boundary
 /// snapshot compaction and warm-start harvesting. See the module docs
@@ -543,19 +554,14 @@ fn prune_models(records: &[StateRecord]) -> Vec<StateRecord> {
 #[derive(Debug)]
 pub struct PersistSession {
     store: StateStore,
-    /// Recovered records still to be verified against re-execution.
-    prefix: Vec<StateRecord>,
-    /// How many prefix records re-execution has matched so far.
+    /// The run's record history and the snapshot source: the recovered
+    /// prefix, then every record appended since.
+    records: Vec<StateRecord>,
+    /// How many records re-execution has emitted (and, inside the
+    /// recovered prefix, matched) so far.
     cursor: usize,
-    /// Full record history of this run (verified + appended), the
-    /// snapshot source.
-    mirror: Vec<StateRecord>,
-    /// Warm-start bank harvested from a clean prior run.
-    warm: Vec<(u64, PredictorState)>,
     /// Records recovered from disk at open.
     replayed: usize,
-    /// Whether the container dropped a torn tail at open.
-    torn: Option<TornTail>,
     /// Snapshots actually written this session.
     snapshots: u64,
 }
@@ -576,74 +582,60 @@ impl PersistSession {
         run_started: &StateRecord,
     ) -> Result<PersistSession, RecoverError> {
         let dir = Path::new(&cfg.dir);
-        if !cfg.resume {
-            let store = StateStore::create(dir)?;
-            return PersistSession::fresh(store, cfg.crash_point, run_started);
-        }
-        let (mut store, replay) = StateStore::open(dir)?;
-        let prefix = decode_replay(&replay)?;
-        if prefix.is_empty() {
-            // Nothing recorded yet: resuming an empty store is a fresh run.
-            store.set_crash_point(cfg.crash_point);
-            let mut session = PersistSession {
-                store,
-                prefix: Vec::new(),
-                cursor: 0,
-                mirror: Vec::new(),
-                warm: Vec::new(),
-                replayed: 0,
-                torn: replay.torn,
-                snapshots: 0,
-            };
-            session.emit(run_started.clone())?;
-            return Ok(session);
-        }
-        check_run_identity(&prefix[0], run_started)?;
-        if matches!(prefix.last(), Some(StateRecord::RunCompleted { .. })) {
-            // Clean completion: harvest the warm bank, then start a
-            // fresh log for the new run.
-            let warm = harvest_warm(&prefix);
-            drop(store);
-            let store = StateStore::create(dir)?;
-            let mut session = PersistSession::fresh(store, cfg.crash_point, run_started)?;
-            session.warm = warm;
-            return Ok(session);
-        }
-        // Interrupted run: the recovered records become the verification
-        // prefix; `emit` compares instead of appending until it is spent.
-        store.set_crash_point(cfg.crash_point);
-        let replayed = prefix.len();
-        let mut session = PersistSession {
-            store,
-            prefix,
-            cursor: 0,
-            mirror: Vec::new(),
-            warm: Vec::new(),
-            replayed,
-            torn: replay.torn,
-            snapshots: 0,
+        let (store, prefix) = if cfg.resume {
+            let (store, replay) = StateStore::open(dir)?;
+            (store, decode_replay(&replay)?)
+        } else {
+            (StateStore::create(dir)?, Vec::new())
         };
-        session.emit(run_started.clone())?;
+        if let Some(first) = prefix.first() {
+            check_run_identity(first, run_started)?;
+        }
+        if !matches!(prefix.last(), Some(StateRecord::RunCompleted { .. })) {
+            // A new or empty store starts a fresh log; an interrupted
+            // run's records become the verification prefix — `emit`
+            // compares instead of appending until it is spent.
+            return PersistSession::start(store, cfg.crash_point, prefix, run_started);
+        }
+        // Clean completion: the new run opens with the bank harvested
+        // from the finished one, and one snapshot of that opening
+        // replaces the finished log, so a kill at any point leaves either
+        // the old clean log (which warm-starts again) or the new run's
+        // seeded opening.
+        let mut opening = vec![run_started.clone()];
+        let warm = harvest_warm(&prefix);
+        drop(prefix); // free the finished run's models before the snapshot
+        opening.extend(
+            warm.into_iter()
+                .map(|(apki, model)| StateRecord::WarmSeeded { apki, model }),
+        );
+        let mut session = PersistSession::start(store, cfg.crash_point, opening, run_started)?;
+        session.replayed = 0; // the opening was harvested, not recovered
+        session.checkpoint()?;
         Ok(session)
     }
 
-    fn fresh(
+    /// The one constructor: arm the crash point, emit `run_started`
+    /// through [`PersistSession::emit`], and step over the seeded bank
+    /// that follows it in `prefix`, if any.
+    fn start(
         mut store: StateStore,
         crash: CrashPoint,
+        prefix: Vec<StateRecord>,
         run_started: &StateRecord,
     ) -> Result<PersistSession, RecoverError> {
         store.set_crash_point(crash);
         let mut session = PersistSession {
             store,
-            prefix: Vec::new(),
+            replayed: prefix.len(),
+            records: prefix,
             cursor: 0,
-            mirror: Vec::new(),
-            warm: Vec::new(),
-            replayed: 0,
-            torn: None,
             snapshots: 0,
         };
         session.emit(run_started.clone())?;
+        // A seeded bank is the log's own records, harvested or recovered
+        // with the run: there is nothing to re-verify.
+        session.cursor += session.warm_bank().count();
         Ok(session)
     }
 
@@ -654,20 +646,23 @@ impl PersistSession {
     /// [`RecoverError::Diverged`] when re-execution disagrees with the
     /// log; [`RecoverError::Store`] on container failure.
     pub fn emit(&mut self, record: StateRecord) -> Result<(), RecoverError> {
-        if self.cursor < self.prefix.len() {
-            let persisted = &self.prefix[self.cursor];
-            if !records_match(persisted, &record) {
+        match self.records.get(self.cursor) {
+            Some(persisted) if !records_match(persisted, &record) => {
                 return Err(RecoverError::Diverged {
                     index: self.cursor,
                     persisted: format!("{persisted:?}"),
                     emitted: format!("{record:?}"),
                 });
             }
-            self.cursor += 1;
-        } else {
-            self.store.append_record(&record)?;
+            // A verified record stays as persisted: a model payload an
+            // earlier snapshot pruned would be pruned again anyway.
+            Some(_) => {}
+            None => {
+                self.store.append_record(&record)?;
+                self.records.push(record);
+            }
         }
-        self.mirror.push(record);
+        self.cursor += 1;
         Ok(())
     }
 
@@ -677,14 +672,13 @@ impl PersistSession {
     /// the restored fit's record re-verifies the match.
     #[must_use]
     pub fn replayed_fit(&self, segment: u64) -> Option<PredictorState> {
-        self.prefix[self.cursor..].iter().find_map(|r| match r {
+        self.records[self.cursor..].iter().find_map(|r| match r {
             StateRecord::FitCompleted {
                 segment: s,
                 elided: false,
                 model: Some(state),
                 ..
             } if *s == segment => Some(state.clone()),
-            StateRecord::FitCompleted { .. } => None,
             _ => None,
         })
     }
@@ -698,44 +692,33 @@ impl PersistSession {
     /// # Errors
     /// [`RecoverError::Store`] on container failure.
     pub fn checkpoint(&mut self) -> Result<bool, RecoverError> {
-        if self.cursor < self.prefix.len() {
+        if self.cursor < self.records.len() {
             return Ok(false);
         }
-        let body = SnapshotBody {
-            schema: STATE_SCHEMA_VERSION,
-            records: prune_models(&self.mirror),
-        };
-        let wrote = self.store.snapshot_record(&body)?;
+        let wrote = self
+            .store
+            .snapshot(encode_snapshot(&self.records)?.as_bytes())?;
         if wrote {
             self.snapshots += 1;
         }
         Ok(wrote)
     }
 
-    /// Take the warm-start bank harvested from a clean prior run:
-    /// `(apki bits, predictor state)` pairs, oldest first. Empty unless
-    /// the session resumed from a log ending in
-    /// [`StateRecord::RunCompleted`].
-    pub fn take_warm_bank(&mut self) -> Vec<(u64, PredictorState)> {
-        std::mem::take(&mut self.warm)
-    }
-
-    /// Whether a warm-start bank is (still) loaded.
-    #[must_use]
-    pub fn warm_available(&self) -> bool {
-        !self.warm.is_empty()
+    /// The warm-start bank this run is seeded with, as `(apki bits,
+    /// predictor state)` pairs, oldest first: the
+    /// [`StateRecord::WarmSeeded`] records after `run_started`. Empty
+    /// unless the run is (or recovers) a warm start.
+    pub fn warm_bank(&self) -> impl Iterator<Item = (u64, &PredictorState)> {
+        self.records.iter().skip(1).map_while(|r| match r {
+            StateRecord::WarmSeeded { apki, model } => Some((*apki, model)),
+            _ => None,
+        })
     }
 
     /// Records recovered from disk when the session opened.
     #[must_use]
     pub fn replayed(&self) -> usize {
         self.replayed
-    }
-
-    /// The torn tail the container dropped at open, if any.
-    #[must_use]
-    pub fn torn(&self) -> Option<TornTail> {
-        self.torn
     }
 
     /// Records appended (durably) this session.
@@ -748,18 +731,6 @@ impl PersistSession {
     #[must_use]
     pub fn snapshots(&self) -> u64 {
         self.snapshots
-    }
-
-    /// Whether an injected crash point has killed the store.
-    #[must_use]
-    pub fn crashed(&self) -> bool {
-        self.store.crashed()
-    }
-
-    /// Prefix records not yet re-verified by re-execution.
-    #[must_use]
-    pub fn unverified(&self) -> usize {
-        self.prefix.len() - self.cursor
     }
 }
 
@@ -785,7 +756,7 @@ fn check_run_identity(persisted: &StateRecord, expected: &StateRecord) -> Result
 }
 
 /// Offline summary of a store directory, for `mct recover`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Container generation (snapshots taken).
     pub generation: u64,
@@ -812,6 +783,8 @@ pub struct RecoveryReport {
     pub fits: u64,
     /// Elided fit records.
     pub elided_fits: u64,
+    /// Models a warm start seeded the run's elision bank with.
+    pub warm_seeded: u64,
     /// Fresh fits whose model payload survives in the log.
     pub restorable_models: u64,
     /// Health checks recorded.
@@ -838,18 +811,7 @@ impl RecoveryReport {
             stale_wal_records: replay.stale_wal_records,
             torn: replay.torn,
             clean: matches!(records.last(), Some(StateRecord::RunCompleted { .. })),
-            seed: None,
-            model: None,
-            total_insts: None,
-            executed: 0,
-            segments_completed: 0,
-            fits: 0,
-            elided_fits: 0,
-            restorable_models: 0,
-            health_checks: 0,
-            health_failures: 0,
-            ladder: DegradationStage::Normal,
-            last_chosen: None,
+            ..RecoveryReport::default()
         };
         for rec in &records {
             match rec {
@@ -863,26 +825,21 @@ impl RecoveryReport {
                     report.model = Some(*model);
                     report.total_insts = Some(*total_insts);
                 }
+                StateRecord::WarmSeeded { .. } => report.warm_seeded += 1,
                 StateRecord::SegmentStarted { executed, .. } => {
                     report.executed = report.executed.max(*executed);
                 }
                 StateRecord::FitCompleted { elided, model, .. } => {
                     report.fits += 1;
-                    if *elided {
-                        report.elided_fits += 1;
-                    }
-                    if model.is_some() {
-                        report.restorable_models += 1;
-                    }
+                    report.elided_fits += u64::from(*elided);
+                    report.restorable_models += u64::from(model.is_some());
                 }
                 StateRecord::DecisionMade { config, .. } => {
                     report.last_chosen = Some(*config);
                 }
                 StateRecord::HealthChecked { passed, .. } => {
                     report.health_checks += 1;
-                    if !passed {
-                        report.health_failures += 1;
-                    }
+                    report.health_failures += u64::from(!passed);
                 }
                 StateRecord::LadderMoved { to, .. } => report.ladder = *to,
                 StateRecord::SegmentCompleted {
@@ -935,6 +892,12 @@ impl RecoveryReport {
             "progress: {} segments completed, {} insts executed\n",
             self.segments_completed, self.executed
         ));
+        if self.warm_seeded > 0 {
+            out.push_str(&format!(
+                "warm start: seeded with {} banked models\n",
+                self.warm_seeded
+            ));
+        }
         out.push_str(&format!(
             "fits: {} total ({} elided), {} restorable model payloads\n",
             self.fits, self.elided_fits, self.restorable_models
@@ -973,10 +936,14 @@ mod tests {
     }
 
     fn fit(segment: u64, with_model: bool) -> StateRecord {
+        fit_at(segment, 7.5, with_model)
+    }
+
+    fn fit_at(segment: u64, apki: f64, with_model: bool) -> StateRecord {
         StateRecord::FitCompleted {
             segment,
             elided: false,
-            apki: 7.5f64.to_bits(),
+            apki: apki.to_bits(),
             signature: 99,
             model: with_model.then(|| PredictorState {
                 kind: ModelKind::QuadraticLasso,
@@ -984,6 +951,49 @@ mod tests {
                 models: Vec::new(),
             }),
         }
+    }
+
+    fn check(segment: u64, check: u32, passed: bool) -> StateRecord {
+        StateRecord::HealthChecked {
+            segment,
+            check,
+            passed,
+            testing_ipc: 1.0f64.to_bits(),
+            baseline_ipc: 1.2f64.to_bits(),
+        }
+    }
+
+    fn ladder(segment: u64, from: DegradationStage, to: DegradationStage) -> StateRecord {
+        StateRecord::LadderMoved {
+            segment,
+            from,
+            to,
+            failures: 1,
+        }
+    }
+
+    fn harvested_apkis(records: &[StateRecord]) -> Vec<f64> {
+        harvest_warm(records)
+            .into_iter()
+            .map(|(apki, _)| f64::from_bits(apki))
+            .collect()
+    }
+
+    /// The record-at-a-time encoding is byte-identical to encoding the
+    /// whole body as one value.
+    #[test]
+    fn snapshot_encoding_matches_the_body_serializer() {
+        let records: Vec<StateRecord> = std::iter::once(run_started())
+            .chain((0..SNAPSHOT_MODEL_SLOTS as u64 + 2).map(|i| fit(i, true)))
+            .collect();
+        let body = SnapshotBody {
+            schema: STATE_SCHEMA_VERSION,
+            records: prune_models(&records),
+        };
+        assert_eq!(
+            encode_snapshot(&records).expect("encode"),
+            serde_json::to_string(&body).expect("encode body")
+        );
     }
 
     #[test]
@@ -1017,7 +1027,11 @@ mod tests {
         let cfg = PersistConfig::resume_from(path);
         let mut s = PersistSession::begin(&cfg, &run_started()).expect("resume");
         assert_eq!(s.replayed(), 2);
-        assert_eq!(s.unverified(), 1, "run_started already verified");
+        assert_eq!(
+            s.records.len() - s.cursor,
+            1,
+            "run_started already verified"
+        );
         // A diverging record must fail loudly.
         let err = s
             .emit(StateRecord::SegmentStarted {
@@ -1059,8 +1073,8 @@ mod tests {
         // Interrupted log: no warm bank, prefix instead.
         let cfg = PersistConfig::resume_from(path.clone());
         let mut s = PersistSession::begin(&cfg, &run_started()).expect("resume");
-        assert!(!s.warm_available());
-        assert_eq!(s.unverified(), 1);
+        assert_eq!(s.warm_bank().count(), 0);
+        assert_eq!(s.records.len() - s.cursor, 1);
         s.emit(fit(0, true)).expect("verify fit");
         s.emit(StateRecord::RunCompleted {
             executed: 1_000,
@@ -1078,29 +1092,85 @@ mod tests {
 
         // Clean log: warm bank available, fresh log started.
         let cfg = PersistConfig::resume_from(path);
-        let mut s = PersistSession::begin(&cfg, &run_started()).expect("warm resume");
-        assert!(s.warm_available());
-        let bank = s.take_warm_bank();
-        assert_eq!(bank.len(), 1);
-        assert_eq!(bank[0].0, 7.5f64.to_bits());
-        assert_eq!(s.unverified(), 0, "warm start begins a fresh log");
+        let s = PersistSession::begin(&cfg, &run_started()).expect("warm resume");
+        let bank: Vec<u64> = s.warm_bank().map(|(apki, _)| apki).collect();
+        assert_eq!(bank, vec![7.5f64.to_bits()]);
+        assert_eq!(s.records.len(), s.cursor, "warm start begins a fresh log");
     }
 
     #[test]
     fn warm_harvest_invalidated_by_ladder_refit() {
         let records = vec![
             run_started(),
-            fit(0, true),
-            StateRecord::LadderMoved {
-                segment: 1,
-                from: DegradationStage::Resample,
-                to: DegradationStage::Refit,
-                failures: 2,
-            },
-            fit(2, true),
+            fit_at(0, 2.0, true),
+            check(0, 1, false),
+            ladder(0, DegradationStage::Normal, DegradationStage::Resample),
+            fit_at(1, 30.0, true),
+            check(1, 1, false),
+            ladder(1, DegradationStage::Resample, DegradationStage::Refit),
+            fit_at(2, 7.5, true),
         ];
-        let bank = harvest_warm(&records);
-        assert_eq!(bank.len(), 1, "only the post-refit fit survives");
+        assert_eq!(
+            harvested_apkis(&records),
+            vec![7.5],
+            "only the post-refit fit survives"
+        );
+    }
+
+    /// A fresh fit refreshes the bank slot covering its intensity, as the
+    /// live bank does: the re-sampled fit replaces the fit whose segment
+    /// failed its health check instead of sitting beside it.
+    #[test]
+    fn warm_harvest_refreshes_the_slot_a_refit_covers() {
+        let records = vec![
+            run_started(),
+            fit_at(0, 7.5, true),
+            check(0, 1, false),
+            ladder(0, DegradationStage::Normal, DegradationStage::Resample),
+            fit_at(1, 7.8, true),
+        ];
+        assert_eq!(harvested_apkis(&records), vec![7.8]);
+    }
+
+    /// Once reverted, the ladder logs no further moves, but every later
+    /// failed check still reverts — and clears the live bank.
+    #[test]
+    fn warm_harvest_clears_on_a_repeat_revert() {
+        let records = vec![
+            run_started(),
+            check(0, 1, false),
+            ladder(0, DegradationStage::Normal, DegradationStage::Resample),
+            check(1, 1, false),
+            ladder(1, DegradationStage::Resample, DegradationStage::Refit),
+            check(1, 2, false),
+            ladder(1, DegradationStage::Refit, DegradationStage::RevertToStatic),
+            fit_at(2, 7.5, true),
+            check(2, 1, true),
+            check(2, 2, false),
+        ];
+        assert_eq!(harvested_apkis(&records), Vec::<f64>::new());
+    }
+
+    /// A warm run logs its seeded bank, so harvesting its own clean log
+    /// keeps those models — chained resumes stay warm.
+    #[test]
+    fn warm_harvest_starts_from_the_seeded_bank() {
+        let seeded = |apki: f64| StateRecord::WarmSeeded {
+            apki: apki.to_bits(),
+            model: PredictorState {
+                kind: ModelKind::QuadraticLasso,
+                baseline: None,
+                models: Vec::new(),
+            },
+        };
+        let records = vec![
+            run_started(),
+            seeded(3.0),
+            seeded(12.0),
+            fit_at(1, 12.5, true),
+            fit_at(2, 48.0, false),
+        ];
+        assert_eq!(harvested_apkis(&records), vec![3.0, 12.5]);
     }
 
     #[test]

@@ -552,16 +552,6 @@ impl StateStore {
             }
         }
     }
-
-    /// [`StateStore::snapshot`] with a serde payload.
-    ///
-    /// # Errors
-    /// [`PersistError::Io`] on filesystem failure.
-    pub fn snapshot_record<T: Serialize>(&mut self, rec: &T) -> Result<bool, PersistError> {
-        let text = serde_json::to_string(rec)
-            .map_err(|e| PersistError::Io(format!("encode snapshot: {e}")))?;
-        self.snapshot(text.as_bytes())
-    }
 }
 
 fn write_file(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {

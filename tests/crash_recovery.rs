@@ -283,6 +283,96 @@ fn clean_log_warm_starts_and_skips_sampling() {
     );
 }
 
+/// Kill a *warm-started* run after durable op `k`, for every `k` until
+/// the kill falls past its last op. The warm run's log opens with the
+/// bank it was seeded with, so resuming the survivor re-seeds that bank
+/// and converges on the uninterrupted warm run. Returns the number of
+/// kill points exercised.
+fn sweep_warm_kill_points(workload: Workload, seed: u64) -> u64 {
+    let (warm, reference) = {
+        let dir = TempDir::new("mct-warm-ref");
+        run_persisted(dir.path(), workload, seed, false, CrashPoint::None);
+        let warm = run_persisted(dir.path(), workload, seed, true, CrashPoint::None);
+        let reference = decode_dir(dir.path()).expect("clean warm store must decode");
+        (warm, reference)
+    };
+    assert!(
+        warm.segments.iter().any(|s| s.warm_started),
+        "{workload}: the reference run must warm-start"
+    );
+    let mut k = 0u64;
+    loop {
+        let label = format!("{workload}: warm run killed at op {k}");
+        let dir = TempDir::new("mct-warm-kill");
+        run_persisted(dir.path(), workload, seed, false, CrashPoint::None);
+        let crashed = run_persisted(dir.path(), workload, seed, true, CrashPoint::AfterOp(k));
+        assert_bit_identical(&label, &crashed, &warm);
+        let survivor =
+            decode_dir(dir.path()).unwrap_or_else(|e| panic!("{label}: store undecodable: {e}"));
+        assert_prefix_of(&label, &survivor, &reference);
+        let report = RecoveryReport::from_dir(dir.path())
+            .unwrap_or_else(|e| panic!("{label}: store unreadable: {e}"));
+        if report.clean {
+            return k;
+        }
+        assert!(
+            report.warm_seeded > 0,
+            "{label}: the survivor must record the seeded bank"
+        );
+
+        let resumed = run_persisted(dir.path(), workload, seed, true, CrashPoint::None);
+        assert_bit_identical(&format!("{label}, resumed"), &resumed, &warm);
+        let recovered = decode_dir(dir.path())
+            .unwrap_or_else(|e| panic!("{label}, resumed: store undecodable: {e}"));
+        assert_eq!(
+            recovered.len(),
+            reference.len(),
+            "{label}, resumed: recovered trace length diverged"
+        );
+        assert_prefix_of(&format!("{label}, resumed"), &recovered, &reference);
+        k += 1;
+    }
+}
+
+/// Every kill point of a warm-started Stream run recovers to the
+/// uninterrupted warm run.
+#[test]
+fn warm_run_killed_at_every_op_recovers_bit_identical() {
+    let exercised = sweep_warm_kill_points(Workload::Stream, SEED);
+    assert!(
+        exercised >= 4,
+        "the warm sweep covered only {exercised} ops — persistence is not recording"
+    );
+}
+
+/// Chained `--resume`s stay warm: each warm run logs the bank it was
+/// seeded with, so the next resume harvests that bank again instead of
+/// falling back to a cold run.
+#[test]
+fn chained_resumes_stay_warm() {
+    let dir = TempDir::new("mct-warm-chain");
+    let cold = run_persisted(dir.path(), Workload::Stream, SEED, false, CrashPoint::None);
+    let mut first_warm: Option<Outcome> = None;
+    for resume in 1..=3 {
+        let warm = run_persisted(dir.path(), Workload::Stream, SEED, true, CrashPoint::None);
+        assert_eq!(warm.sampling_insts, 0, "resume {resume} must warm-start");
+        let report = RecoveryReport::from_dir(dir.path()).expect("clean store must replay");
+        assert!(report.clean, "resume {resume} must leave a clean log");
+        assert!(
+            report.warm_seeded > 0 && report.render().contains("warm start: seeded with"),
+            "resume {resume}: the warm log must record its seeded bank"
+        );
+        match &first_warm {
+            Some(first) => assert_bit_identical(&format!("resume {resume}"), &warm, first),
+            None => assert_eq!(
+                warm.chosen_config, cold.chosen_config,
+                "same workload, same models: the warm run must land on the same choice"
+            ),
+        }
+        first_warm.get_or_insert(warm);
+    }
+}
+
 /// A warm start with a budget too small for any testing window (as
 /// `mct run <wl> --insts 200000 --resume` builds it) must still report
 /// what it measured, not the empty accumulator's IPC 0 and infinite
