@@ -63,8 +63,7 @@ fn bench_keys(c: &mut Criterion) {
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_store");
     group.sample_size(10);
-    let dir = std::env::temp_dir().join(format!("mct_bench_store_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create bench store dir");
+    let dir = mct_persist::TempDir::new("mct-bench-store");
     let metrics = mct_sim::stats::Metrics {
         ipc: 1.234_567_890_123,
         lifetime_years: 8.765_432_1,
@@ -76,7 +75,7 @@ fn bench_store(c: &mut Criterion) {
         let mut round = 0u64;
         b.iter(|| {
             round += 1;
-            let path = dir.join(format!("record_{round}.jsonl"));
+            let path = dir.join(&format!("record_{round}.jsonl"));
             let store = GrainStore::open(path.clone());
             for k in 0..256u64 {
                 store.record(k, metrics);
@@ -95,7 +94,6 @@ fn bench_store(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(GrainStore::open(reopen_path.clone()).len()));
     });
     group.finish();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Warm-snapshot reuse: the per-grain unit cost — clone the warmed

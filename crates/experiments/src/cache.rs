@@ -791,8 +791,7 @@ mod tests {
 
     #[test]
     fn grain_store_appends_and_reloads() {
-        let dir = std::env::temp_dir().join(format!("mct_grains_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = mct_persist::TempDir::new("mct-grains");
         let path = dir.join("grains_test.jsonl");
         let m = Metrics {
             ipc: 1.5,
@@ -810,14 +809,11 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(store.get(1), Some(m));
         assert_eq!(store.get(3), None);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stale_and_corrupt_lines_are_discarded_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("mct_stale_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
+        let dir = mct_persist::TempDir::new("mct-stale");
         let path = dir.join("grains_test.jsonl");
         let good = serde_json::to_string(&GrainLine {
             v: CACHE_VERSION,
@@ -844,7 +840,6 @@ mod tests {
         assert!(store.get(7).is_some());
         assert_eq!(after.stale_discarded - before.stale_discarded, 1);
         assert_eq!(after.corrupt_discarded - before.corrupt_discarded, 2);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     fn metrics_of(key: u64) -> Metrics {
@@ -926,8 +921,7 @@ mod tests {
 
     #[test]
     fn derived_store_round_trips_values() {
-        let dir = std::env::temp_dir().join(format!("mct_derived_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = mct_persist::TempDir::new("mct-derived");
         let path = dir.join("derived_test.jsonl");
         let key = derived_key("mix/all", 9, &[1.0, 2.5]);
         assert_ne!(key, derived_key("mix/all", 9, &[1.0, 2.0]));
@@ -940,6 +934,5 @@ mod tests {
         let store = DerivedStore::open(path);
         let v: Vec<f64> = store.get_or_compute(key, || panic!("must be served from disk"));
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
-        let _ = fs::remove_dir_all(&dir);
     }
 }
