@@ -1,12 +1,12 @@
 //! The three hot paths this repo's perf work targets: the raw controller
-//! event loop, the lock-free sweep engine, and batched whole-space
+//! event loop, a sweep over a warm rig, and batched whole-space
 //! prediction. The `hotpath` binary records the same paths as wall-clock
 //! JSON; these Criterion benches track them with proper statistics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use mct_core::{ConfigSpace, MetricsPredictor, ModelKind, NvmConfig};
-use mct_experiments::{par_map, sweep_with_threads, Scale, EXPERIMENT_SEED};
+use mct_experiments::{run_grains, Scale, WarmedRig, EXPERIMENT_SEED};
 use mct_sim::energy::EnergyModel;
 use mct_sim::time::{Duration, Time};
 use mct_sim::wear::WearModel;
@@ -60,22 +60,13 @@ fn bench_event_loop(c: &mut Criterion) {
     group.finish();
 }
 
-/// The lock-free fan-out primitive itself, and a small end-to-end sweep.
+/// A small end-to-end sweep: warm a rig, then measure 8 configs as
+/// scheduler grains — the per-grain work the pipeline runs on a cache
+/// miss. (The scheduler's own dispatch overhead is
+/// `pipeline_scheduler/run_grains_4096_trivial`.)
 fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_sweep");
     group.sample_size(10);
-    // par_map scheduling overhead on trivial work.
-    let items: Vec<u64> = (0..4096).collect();
-    for threads in [1usize, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("par_map_4096_trivial", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| std::hint::black_box(par_map(&items, threads, |&x| x.wrapping_mul(31))));
-            },
-        );
-    }
-    // End-to-end: warm rig + 8 configs through the sweep engine.
     let space = ConfigSpace::without_wear_quota();
     let stride = (space.len() / 8).max(1);
     let configs: Vec<NvmConfig> = space
@@ -86,14 +77,10 @@ fn bench_sweep(c: &mut Criterion) {
         .copied()
         .collect();
     group.bench_function("sweep_gups_8_configs", |b| {
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         b.iter(|| {
-            std::hint::black_box(sweep_with_threads(
-                Workload::Gups,
-                &configs,
-                Scale::Quick,
-                EXPERIMENT_SEED,
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            ))
+            let rig = WarmedRig::new(Workload::Gups, Scale::Quick, EXPERIMENT_SEED);
+            std::hint::black_box(run_grains(&configs, workers, |c| rig.measure(c)))
         });
     });
     group.finish();

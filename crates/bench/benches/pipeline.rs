@@ -7,8 +7,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use mct_core::persist::fnv1a64;
 use mct_core::NvmConfig;
-use mct_experiments::cache::{grain_key, GrainStore};
+use mct_experiments::cache::{grain_key, Store};
 use mct_experiments::{run_grains, shared_rig, Scale, EXPERIMENT_SEED};
+use mct_sim::stats::Metrics;
 use mct_workloads::Workload;
 
 /// Scheduler dispatch overhead on trivial grains: what run_grains costs
@@ -57,14 +58,14 @@ fn bench_keys(c: &mut Criterion) {
     group.finish();
 }
 
-/// GrainStore persistence: appending 256 records to a fresh store, and
+/// Grain store persistence: appending 256 records to a fresh store, and
 /// reopening (parse + validate) a 256-line store — the cold-start cost a
 /// resumed pipeline pays per store file.
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_store");
     group.sample_size(10);
     let dir = mct_persist::TempDir::new("mct-bench-store");
-    let metrics = mct_sim::stats::Metrics {
+    let metrics = Metrics {
         ipc: 1.234_567_890_123,
         lifetime_years: 8.765_432_1,
         energy_j: 0.001_234_5,
@@ -76,7 +77,7 @@ fn bench_store(c: &mut Criterion) {
         b.iter(|| {
             round += 1;
             let path = dir.join(&format!("record_{round}.jsonl"));
-            let store = GrainStore::open(path.clone());
+            let store = Store::<Metrics>::open(path.clone());
             for k in 0..256u64 {
                 store.record(k, metrics);
             }
@@ -85,13 +86,13 @@ fn bench_store(c: &mut Criterion) {
     });
 
     let reopen_path = dir.join("reopen.jsonl");
-    let seed_store = GrainStore::open(reopen_path.clone());
+    let seed_store = Store::<Metrics>::open(reopen_path.clone());
     for k in 0..256u64 {
         seed_store.record(k, metrics);
     }
     drop(seed_store);
     group.bench_function("reopen_256", |b| {
-        b.iter(|| std::hint::black_box(GrainStore::open(reopen_path.clone()).len()));
+        b.iter(|| std::hint::black_box(Store::<Metrics>::open(reopen_path.clone()).len()));
     });
     group.finish();
 }

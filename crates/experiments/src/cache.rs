@@ -6,30 +6,32 @@
 //! everything, and any change to the config list invalidated the file.
 //!
 //! This module caches *measurement grains* instead. A grain is one
-//! (workload × config × detailed budget) measurement, addressed by an
+//! (workload × policy × detailed budget) measurement, addressed by an
 //! FNV-1a hash over its full calibration identity ([`grain_key`]), and
 //! persisted as one JSONL line appended (and flushed) the moment it is
-//! measured. A killed or partial run therefore loses nothing, figures
-//! can share grains regardless of which config list requested them, and
-//! [`load_or_compute_sweeps`] flattens *all* outstanding grains across
-//! every requested sweep into one batch for the work-stealing scheduler
-//! ([`crate::sched`]).
+//! measured. A killed or partial run therefore loses nothing, and figures
+//! can share grains regardless of which config list requested them.
+//! Every simulator measurement of the pipeline — the paper-space sweeps
+//! of [`load_or_compute_sweeps`] and the extension studies alike — goes
+//! through one grain batch, which flattens all outstanding grains into
+//! one round of the work-stealing scheduler ([`crate::sched`]).
+//!
+//! Derived results (controller runs, mix runs) are keyed by a label plus
+//! the parameters that determine them ([`derived_key`]). Both kinds live
+//! in one store type, [`Store`]: grains decoded as [`Metrics`]
+//! (`{"v":…,"k":…,"m":…}` lines), derived results as serde `Content`
+//! trees (`{"v":…,"k":…,"val":…}` lines).
 //!
 //! Loading is tolerant: lines whose `v` field predates [`CACHE_VERSION`]
 //! are discarded (logged, counted as `stale_discarded`), and corrupt or
 //! truncated lines — e.g. the tail of a write cut off by a kill — are
 //! discarded and re-measured rather than crashing (`corrupt_discarded`).
 //!
-//! Derived results (controller runs, mix runs) use the same machinery
-//! via [`DerivedStore`]: arbitrary serde values keyed by a label + the
-//! parameters that determine them. Both stores serve lookups through one
-//! hits-first batch path ([`GrainStore::get_or_compute_batch`],
-//! [`DerivedStore::get_or_compute_batch`], and the sweep batches above):
-//! every hit is served serially, then only the misses fan out over one
-//! scheduler round, each recorded from inside its worker. The
-//! single-lookup forms ([`DerivedStore::get_or_compute`],
-//! [`cached_measurement`]) are the one-item case of that path.
+//! Every lookup goes through one hits-first batch path: every hit is
+//! served serially, then only the misses fan out over one scheduler
+//! round, each recorded from inside its worker.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
@@ -41,6 +43,7 @@ use serde::{Content, Deserialize, Serialize};
 
 use mct_core::persist::fnv1a64;
 use mct_core::NvmConfig;
+use mct_sim::policy::MellowPolicy;
 use mct_sim::stats::Metrics;
 use mct_telemetry::pipeline_stats;
 use mct_workloads::Workload;
@@ -167,128 +170,143 @@ impl<'a, I: Sync, V: Clone + Send> HitsFirst<'a, I, V> {
     }
 }
 
-/// One persisted measurement grain (a JSONL line).
-#[derive(Debug, Serialize, Deserialize)]
-struct GrainLine {
-    /// Cache version the grain was measured under.
-    v: u32,
-    /// [`grain_key`] content address.
-    k: u64,
-    /// The measured metrics.
-    m: Metrics,
+mod value {
+    /// A value type a [`super::Store`] holds in memory, and the line
+    /// field that carries it on disk.
+    pub trait StoreValue:
+        serde::Serialize + serde::Deserialize + Clone + Send + Sync + 'static
+    {
+        /// Name of the line field holding the value.
+        const FIELD: &'static str;
+    }
+}
+use value::StoreValue;
+
+/// Grains stay decoded as metrics: `{"v":…,"k":…,"m":{…}}`.
+impl StoreValue for Metrics {
+    const FIELD: &'static str = "m";
 }
 
-/// Tolerantly load a JSONL store, discarding (and counting) stale and
-/// corrupt lines. Returns the surviving `(key, line)` pairs.
-fn load_jsonl<L: Deserialize>(path: &Path, version_of: impl Fn(&L) -> u32) -> Vec<L> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut stale = 0u64;
-    let mut corrupt = 0u64;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<L>(line) {
-            Ok(l) if version_of(&l) == CACHE_VERSION => out.push(l),
-            Ok(_) => stale += 1,
-            Err(_) => corrupt += 1,
-        }
-    }
-    let stats = pipeline_stats();
-    if stale > 0 {
-        stats.add_stale_discarded(stale);
-        eprintln!(
-            "note: discarded {stale} stale cache entr{} in {} (cache version != {CACHE_VERSION}); re-measuring",
-            if stale == 1 { "y" } else { "ies" },
-            path.display()
-        );
-    }
-    if corrupt > 0 {
-        stats.add_corrupt_discarded(corrupt);
-        eprintln!(
-            "note: discarded {corrupt} corrupt/truncated cache line{} in {}; re-measuring",
-            if corrupt == 1 { "" } else { "s" },
-            path.display()
-        );
-    }
-    out
+/// Derived results stay serde trees: `{"v":…,"k":…,"val":…}`.
+impl StoreValue for Content {
+    const FIELD: &'static str = "val";
 }
 
-/// An append-only on-disk store of measurement grains.
+/// One store line: the cache version, the key, and the value under its
+/// field name.
+fn encode_line<V: StoreValue>(key: u64, value: &V) -> String {
+    let line = Content::Map(vec![
+        ("v".to_string(), CACHE_VERSION.serialize_content()),
+        ("k".to_string(), key.serialize_content()),
+        (V::FIELD.to_string(), value.serialize_content()),
+    ]);
+    serde_json::to_string(&line).expect("serialize store line")
+}
+
+/// `(version, key, value)` of one line; `None` when it does not parse.
+fn decode_line<V: StoreValue>(line: &str) -> Option<(u32, u64, V)> {
+    let content = serde_json::parse_content(line).ok()?;
+    let fields = content.as_map()?;
+    let field = |name: &str| serde::content_field(fields, name);
+    Some((
+        u32::deserialize_content(field("v")?).ok()?,
+        u64::deserialize_content(field("k")?).ok()?,
+        V::deserialize_content(field(V::FIELD)?).ok()?,
+    ))
+}
+
+/// An append-only on-disk store of keyed values: measurement grains
+/// (`Store<Metrics>`, keyed by [`grain_key`]) or derived results
+/// (`Store<Content>`, keyed by [`derived_key`]).
 ///
-/// Each recorded grain is appended and flushed as its own line, so a
-/// killed run keeps everything measured up to the kill. All methods are
-/// thread-safe — scheduler workers record grains concurrently.
+/// Each recorded value is appended and flushed as its own line, so a
+/// killed run keeps everything computed up to the kill. All methods are
+/// thread-safe — scheduler workers record values concurrently.
 #[derive(Debug)]
-pub struct GrainStore {
+pub struct Store<V> {
     path: PathBuf,
-    entries: Mutex<HashMap<u64, Metrics>>,
+    entries: Mutex<HashMap<u64, V>>,
     writer: Mutex<Option<fs::File>>,
 }
 
-impl GrainStore {
+impl<V: StoreValue> Store<V> {
     /// Open (or create-on-first-write) the store at `path`, tolerantly
-    /// loading whatever valid grains it already holds.
+    /// loading whatever valid lines it already holds: lines from an
+    /// older [`CACHE_VERSION`] are discarded as stale, and lines that do
+    /// not parse (e.g. the tail of a write cut off by a kill) as corrupt.
+    /// Both are counted and logged, then re-computed on demand.
     #[must_use]
-    pub fn open(path: PathBuf) -> GrainStore {
-        let entries = load_jsonl::<GrainLine>(&path, |l| l.v)
-            .into_iter()
-            .map(|l| (l.k, l.m))
-            .collect();
-        GrainStore {
+    pub fn open(path: PathBuf) -> Store<V> {
+        let mut entries = HashMap::new();
+        let (mut stale, mut corrupt) = (0u64, 0u64);
+        let text = fs::read_to_string(&path).unwrap_or_default();
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            match decode_line::<V>(line) {
+                Some((CACHE_VERSION, k, value)) => {
+                    entries.insert(k, value);
+                }
+                Some(_) => stale += 1,
+                None => corrupt += 1,
+            }
+        }
+        let stats = pipeline_stats();
+        if stale > 0 {
+            stats.add_stale_discarded(stale);
+            eprintln!(
+                "note: discarded {stale} stale cache entr{} in {} (cache version != {CACHE_VERSION}); re-measuring",
+                if stale == 1 { "y" } else { "ies" },
+                path.display()
+            );
+        }
+        if corrupt > 0 {
+            stats.add_corrupt_discarded(corrupt);
+            eprintln!(
+                "note: discarded {corrupt} corrupt/truncated cache line{} in {}; re-measuring",
+                if corrupt == 1 { "" } else { "s" },
+                path.display()
+            );
+        }
+        Store {
             path,
             entries: Mutex::new(entries),
             writer: Mutex::new(None),
         }
     }
 
-    /// Number of cached grains.
+    /// Number of cached values.
     ///
     /// # Panics
     /// Panics if the store mutex is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("grain store lock").len()
+        self.entries.lock().expect("store lock").len()
     }
 
-    /// True when no grains are cached.
+    /// True when no values are cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The cached metrics for `key`, if present.
+    /// The cached value for `key`, if present.
     ///
     /// # Panics
     /// Panics if the store mutex is poisoned.
     #[must_use]
-    pub fn get(&self, key: u64) -> Option<Metrics> {
-        self.entries
-            .lock()
-            .expect("grain store lock")
-            .get(&key)
-            .copied()
+    pub fn get(&self, key: u64) -> Option<V> {
+        self.entries.lock().expect("store lock").get(&key).cloned()
     }
 
-    /// Record a freshly measured grain: appended to disk (one flushed
+    /// Record a freshly computed value: appended to disk (one flushed
     /// line — a partial run loses at most the line being written) and
     /// inserted in memory.
     ///
     /// # Panics
     /// Panics on an unwritable store path or a poisoned mutex.
-    pub fn record(&self, key: u64, m: Metrics) {
-        let line = serde_json::to_string(&GrainLine {
-            v: CACHE_VERSION,
-            k: key,
-            m,
-        })
-        .expect("serialize grain");
+    pub fn record(&self, key: u64, value: V) {
+        let line = encode_line(key, &value);
         {
-            let mut writer = self.writer.lock().expect("grain writer lock");
+            let mut writer = self.writer.lock().expect("store writer lock");
             let file = writer.get_or_insert_with(|| {
                 if let Some(dir) = self.path.parent() {
                     fs::create_dir_all(dir).expect("create cache dir");
@@ -297,142 +315,26 @@ impl GrainStore {
                     .create(true)
                     .append(true)
                     .open(&self.path)
-                    .expect("open grain store for append")
+                    .expect("open store for append")
             });
             file.write_all(format!("{line}\n").as_bytes())
-                .expect("append grain");
-            file.flush().expect("flush grain");
+                .expect("append store line");
+            file.flush().expect("flush store line");
         }
-        self.entries
-            .lock()
-            .expect("grain store lock")
-            .insert(key, m);
+        self.entries.lock().expect("store lock").insert(key, value);
     }
 
-    /// Serve each `(key, item)` from the store or measure it with
-    /// `compute`, hits first: only the misses fan out over one scheduler
-    /// round on `workers` threads, each recorded as it completes.
-    /// Results are index-parallel with `items`.
+    /// Serve each `(key, item)` from the store or compute it, hits first:
+    /// only the misses fan out over one scheduler round on `workers`
+    /// threads, each recorded as it completes. Results are
+    /// index-parallel with `items`.
+    ///
+    /// A cached value that fails to decode as `T` (schema drift without
+    /// a version bump) counts as corrupt and is re-computed.
     ///
     /// # Panics
     /// Propagates a panic raised by `compute`; panics on an unwritable
-    /// store path.
-    pub fn get_or_compute_batch<I: Sync>(
-        &self,
-        items: &[(u64, I)],
-        workers: usize,
-        compute: impl Fn(&I) -> Metrics + Sync,
-    ) -> Vec<Metrics> {
-        HitsFirst::plan(items, |(k, _)| *k, |(k, _)| self.get(*k)).finish(workers, |(k, item)| {
-            let m = compute(item);
-            self.record(*k, m);
-            m
-        })
-    }
-}
-
-/// One persisted derived result (a JSONL line).
-#[derive(Debug, Serialize, Deserialize)]
-struct DerivedLine {
-    v: u32,
-    k: u64,
-    /// The serde-encoded payload (controller outcome, mix outcome, ...).
-    val: Content,
-}
-
-/// An append-only on-disk store of derived results — controller and mix
-/// outcomes keyed by [`derived_key`]. Same durability and tolerance
-/// story as [`GrainStore`].
-#[derive(Debug)]
-pub struct DerivedStore {
-    path: PathBuf,
-    entries: Mutex<HashMap<u64, Content>>,
-    writer: Mutex<Option<fs::File>>,
-}
-
-impl DerivedStore {
-    /// Open (or create-on-first-write) the store at `path`.
-    #[must_use]
-    pub fn open(path: PathBuf) -> DerivedStore {
-        let entries = load_jsonl::<DerivedLine>(&path, |l| l.v)
-            .into_iter()
-            .map(|l| (l.k, l.val))
-            .collect();
-        DerivedStore {
-            path,
-            entries: Mutex::new(entries),
-            writer: Mutex::new(None),
-        }
-    }
-
-    /// The cached value for `key` decoded as `T`; a value that fails to
-    /// decode (schema drift without a version bump) counts as corrupt
-    /// and is re-computed.
-    ///
-    /// # Panics
-    /// Panics if the store mutex is poisoned.
-    #[must_use]
-    pub fn get_as<T: Deserialize>(&self, key: u64) -> Option<T> {
-        let val = self
-            .entries
-            .lock()
-            .expect("derived store lock")
-            .get(&key)
-            .cloned()?;
-        match T::deserialize_content(&val) {
-            Ok(t) => Some(t),
-            Err(_) => {
-                pipeline_stats().add_corrupt_discarded(1);
-                eprintln!(
-                    "note: cached derived result {key:#018x} in {} failed to decode; re-computing",
-                    self.path.display()
-                );
-                None
-            }
-        }
-    }
-
-    /// Record a derived result (appended + flushed).
-    ///
-    /// # Panics
-    /// Panics on an unwritable store path or a poisoned mutex.
-    pub fn record<T: Serialize>(&self, key: u64, value: &T) {
-        let val = value.serialize_content();
-        let line = serde_json::to_string(&DerivedLine {
-            v: CACHE_VERSION,
-            k: key,
-            val: val.clone(),
-        })
-        .expect("serialize derived line");
-        {
-            let mut writer = self.writer.lock().expect("derived writer lock");
-            let file = writer.get_or_insert_with(|| {
-                if let Some(dir) = self.path.parent() {
-                    fs::create_dir_all(dir).expect("create cache dir");
-                }
-                fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)
-                    .expect("open derived store for append")
-            });
-            file.write_all(format!("{line}\n").as_bytes())
-                .expect("append derived result");
-            file.flush().expect("flush derived result");
-        }
-        self.entries
-            .lock()
-            .expect("derived store lock")
-            .insert(key, val);
-    }
-
-    /// [`GrainStore::get_or_compute_batch`] for derived results: each
-    /// `(key, item)` is served from the store or computed, hits first,
-    /// with only the misses fanned out over `workers` threads.
-    ///
-    /// # Panics
-    /// Propagates a panic raised by `compute`; panics on an unwritable
-    /// store path.
+    /// store path, or when `T` does not encode as the store's value type.
     pub fn get_or_compute_batch<I, T>(
         &self,
         items: &[(u64, I)],
@@ -443,29 +345,37 @@ impl DerivedStore {
         I: Sync,
         T: Serialize + Deserialize + Clone + Send,
     {
-        HitsFirst::plan(items, |(k, _)| *k, |(k, _)| self.get_as(*k)).finish(
+        HitsFirst::plan(items, |(k, _)| *k, |(k, _)| self.decode(*k)).finish(
             workers,
             |(k, item)| {
-                let v = compute(item);
-                self.record(*k, &v);
-                v
+                let t = compute(item);
+                let value = V::deserialize_content(&t.serialize_content())
+                    .expect("a computed value encodes as the store's value type");
+                self.record(*k, value);
+                t
             },
         )
     }
 
-    /// Serve `key` from the cache or compute, record, and return it: the
-    /// one-item case of [`DerivedStore::get_or_compute_batch`].
-    ///
-    /// # Panics
-    /// Propagates a panic raised by `compute`.
-    pub fn get_or_compute<T, F>(&self, key: u64, compute: F) -> T
-    where
-        T: Serialize + Deserialize + Clone + Send,
-        F: Fn() -> T + Sync,
-    {
-        self.get_or_compute_batch(&[(key, ())], 1, |()| compute())
-            .pop()
-            .expect("one value per item")
+    /// The cached value for `key` decoded as `T`.
+    fn decode<T: Deserialize>(&self, key: u64) -> Option<T> {
+        let content = self
+            .entries
+            .lock()
+            .expect("store lock")
+            .get(&key)?
+            .serialize_content();
+        match T::deserialize_content(&content) {
+            Ok(t) => Some(t),
+            Err(_) => {
+                pipeline_stats().add_corrupt_discarded(1);
+                eprintln!(
+                    "note: cached value {key:#018x} in {} failed to decode; re-computing",
+                    self.path.display()
+                );
+                None
+            }
+        }
     }
 }
 
@@ -491,64 +401,43 @@ fn derived_store_path(dir: &Path, scale: Scale, seed: u64) -> PathBuf {
     dir.join(format!("derived_{}_seed{}.jsonl", scale.tag(), seed))
 }
 
-/// Process-wide store pool, keyed by path: every figure in a run shares
-/// one loaded copy of each store (and its append handle).
-fn grain_pool() -> &'static Mutex<HashMap<PathBuf, Arc<GrainStore>>> {
-    static POOL: OnceLock<Mutex<HashMap<PathBuf, Arc<GrainStore>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn derived_pool() -> &'static Mutex<HashMap<PathBuf, Arc<DerivedStore>>> {
-    static POOL: OnceLock<Mutex<HashMap<PathBuf, Arc<DerivedStore>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(HashMap::new()))
+/// The process-wide store pool, keyed by path: every figure in a run
+/// shares one loaded copy of each store (and its append handle).
+///
+/// # Panics
+/// Panics if the pool mutex is poisoned, or if `path` was pooled with a
+/// different value type.
+fn pooled<V: StoreValue>(path: PathBuf) -> Arc<Store<V>> {
+    type Pool = Mutex<HashMap<PathBuf, Arc<dyn Any + Send + Sync>>>;
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    let store = Arc::clone(
+        POOL.get_or_init(Pool::default)
+            .lock()
+            .expect("store pool lock")
+            .entry(path.clone())
+            .or_insert_with(|| Arc::new(Store::<V>::open(path))),
+    );
+    store.downcast().expect("one value type per store path")
 }
 
 /// The shared grain store for (workload, scale, seed) under the current
 /// data dir.
-///
-/// # Panics
-/// Panics if the pool mutex is poisoned.
 #[must_use]
-pub fn grain_store(workload: Workload, scale: Scale, seed: u64) -> Arc<GrainStore> {
-    let path = grain_store_path(&data_dir(), workload, scale, seed);
-    Arc::clone(
-        grain_pool()
-            .lock()
-            .expect("grain pool lock")
-            .entry(path.clone())
-            .or_insert_with(|| Arc::new(GrainStore::open(path))),
-    )
+pub fn grain_store(workload: Workload, scale: Scale, seed: u64) -> Arc<Store<Metrics>> {
+    pooled(grain_store_path(&data_dir(), workload, scale, seed))
 }
 
 /// The shared derived-result store for (scale, seed) under the current
 /// data dir.
-///
-/// # Panics
-/// Panics if the pool mutex is poisoned.
 #[must_use]
-pub fn derived_store(scale: Scale, seed: u64) -> Arc<DerivedStore> {
-    let path = derived_store_path(&data_dir(), scale, seed);
-    Arc::clone(
-        derived_pool()
-            .lock()
-            .expect("derived pool lock")
-            .entry(path.clone())
-            .or_insert_with(|| Arc::new(DerivedStore::open(path))),
-    )
+pub fn derived_store(scale: Scale, seed: u64) -> Arc<Store<Content>> {
+    pooled(derived_store_path(&data_dir(), scale, seed))
 }
 
-/// A cached brute-force sweep for one workload (assembled per request
-/// from the grain store; kept as the figures' working representation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A brute-force sweep for one workload, assembled per request from the
+/// grain store: the figures' working representation.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepDataset {
-    /// Cache format/calibration version.
-    pub version: u32,
-    /// Workload name.
-    pub workload: String,
-    /// Scale tag the sweep ran at.
-    pub scale: String,
-    /// Space stride used.
-    pub stride: usize,
     /// The measured configurations.
     pub configs: Vec<NvmConfig>,
     /// Parallel metrics.
@@ -585,67 +474,41 @@ pub struct SweepRequest {
     pub configs: Vec<NvmConfig>,
 }
 
-/// One grain lookup of a sweep batch.
-struct SweepGrain<'a> {
-    req: &'a SweepRequest,
-    cfg: &'a NvmConfig,
-    key: u64,
-    store: &'a GrainStore,
+/// One simulator measurement: `policy` on `workload`'s warm rig over a
+/// `budget`-instruction detailed window, cached in `store` under `key`.
+pub(crate) struct Grain<'a> {
+    pub(crate) store: &'a Store<Metrics>,
+    pub(crate) workload: Workload,
+    pub(crate) budget: u64,
+    pub(crate) key: u64,
+    pub(crate) policy: MellowPolicy,
 }
 
-/// Serve a batch of sweeps from the grain cache, measuring only the
-/// missing grains — flattened across *all* requests into one
-/// work-stealing round ([`crate::sched::run_grains`]), so a figure
-/// needing ten workloads keeps every core busy instead of sweeping them
-/// one at a time. Fresh grains are appended to their stores as they
-/// complete; a killed run keeps them.
+/// Serve every grain from its store or measure it — the one path every
+/// simulator measurement of the pipeline takes. Hits are served first;
+/// the misses of *all* grains, whatever their workload, run in one
+/// work-stealing round ([`crate::sched::run_grains`]) on `workers`
+/// threads, so a figure needing ten workloads keeps every core busy
+/// instead of sweeping them one at a time. Each fresh grain is appended
+/// to its store as it completes; a killed run keeps it.
 ///
-/// Returned datasets are index-parallel with `requests`, and the
-/// metrics for a given grain are bit-identical whether served from
-/// cache or measured fresh (measurement is deterministic per grain and
-/// JSON round-trips f64s exactly).
-///
-/// # Panics
-/// Panics on unwritable cache directories (delete the store file to
-/// recover from anything else — loading is tolerant).
-#[must_use]
-pub fn load_or_compute_sweeps(
-    requests: &[SweepRequest],
-    scale: Scale,
-    seed: u64,
-) -> Vec<SweepDataset> {
-    let stores: Vec<Arc<GrainStore>> = requests
-        .iter()
-        .map(|req| grain_store(req.workload, scale, seed))
-        .collect();
-    let grains: Vec<SweepGrain> = requests
-        .iter()
-        .zip(&stores)
-        .flat_map(|(req, store)| {
-            let budget = req.workload.detailed_insts(scale.detailed_factor());
-            req.configs.iter().map(move |cfg| SweepGrain {
-                req,
-                cfg,
-                key: grain_key(req.workload, seed, budget, cfg),
-                store,
-            })
-        })
-        .collect();
-    let batch = HitsFirst::plan(&grains, |g| g.key, |g| g.store.get(g.key));
+/// Results are index-parallel with `grains`, and bit-identical whether
+/// served from cache or measured fresh (measurement is deterministic per
+/// grain and JSON round-trips f64s exactly).
+pub(crate) fn measure_grains(grains: &[Grain], seed: u64, workers: usize) -> Vec<Metrics> {
+    let batch = HitsFirst::plan(grains, |g| g.key, |g| g.store.get(g.key));
 
-    // One warm-rig cell per workload with a miss, pre-warmed in parallel
-    // so no measurement worker stalls behind another workload's warmup.
-    // Warmups are rig work, not grains — they are accounted by the rig
-    // pool, not the scheduler.
-    let mut rigs: Vec<(Workload, Arc<RigCell>)> = Vec::new();
+    // One warm-rig cell per (workload, budget) with a miss, pre-warmed in
+    // parallel so no measurement worker stalls behind another workload's
+    // warmup. Warmups are rig work, not grains — they are accounted by
+    // the rig pool, not the scheduler.
+    let mut rigs: Vec<((Workload, u64), Arc<RigCell>)> = Vec::new();
     for g in batch.misses() {
-        let w = g.req.workload;
-        if !rigs.iter().any(|(have, _)| *have == w) {
-            let budget = w.detailed_insts(scale.detailed_factor());
-            rigs.push((w, shared_rig(w, seed, budget)));
+        let id = (g.workload, g.budget);
+        if !rigs.iter().any(|(have, _)| *have == id) {
+            rigs.push((id, shared_rig(g.workload, seed, g.budget)));
         }
     }
-    let workers = default_workers();
     // Single deployment-style measurements stay quiet; only real sweep
     // rounds get progress lines.
     let chatty = batch.misses().len() >= 8;
@@ -653,7 +516,7 @@ pub fn load_or_compute_sweeps(
     let t0 = Instant::now();
     if chatty {
         eprintln!(
-            "measuring {} grains across {} workload rigs ({} served from cache) at scale {scale} ...",
+            "measuring {} grains across {} workload rigs ({} served from cache) ...",
             batch.misses().len(),
             rigs.len(),
             grains.len() - batch.misses().len()
@@ -670,68 +533,60 @@ pub fn load_or_compute_sweeps(
             }
         });
     }
-    let mut metrics = batch
-        .finish(workers, |g| {
-            let (_, rig) = rigs
-                .iter()
-                .find(|(w, _)| *w == g.req.workload)
-                .expect("a rig per missing workload");
-            let m = rig.rig().measure(g.cfg);
-            g.store.record(g.key, m);
-            m
-        })
-        .into_iter();
+    let metrics = batch.finish(workers, |g| {
+        let (_, rig) = rigs
+            .iter()
+            .find(|(id, _)| *id == (g.workload, g.budget))
+            .expect("a rig per missing grain");
+        let m = rig.rig().measure_policy(g.policy.clone());
+        g.store.record(g.key, m);
+        m
+    });
     if chatty {
         eprintln!("  done in {:.1}s", t0.elapsed().as_secs_f64());
     }
+    metrics
+}
 
+/// Serve a batch of sweeps from the grain cache, measuring only the
+/// missing grains, all in one [`measure_grains`] round. Returned
+/// datasets are index-parallel with `requests`.
+///
+/// # Panics
+/// Panics on unwritable cache directories (delete the store file to
+/// recover from anything else — loading is tolerant).
+#[must_use]
+pub fn load_or_compute_sweeps(
+    requests: &[SweepRequest],
+    scale: Scale,
+    seed: u64,
+) -> Vec<SweepDataset> {
+    let stores: Vec<Arc<Store<Metrics>>> = requests
+        .iter()
+        .map(|req| grain_store(req.workload, scale, seed))
+        .collect();
+    let grains: Vec<Grain> = requests
+        .iter()
+        .zip(&stores)
+        .flat_map(|(req, store)| {
+            let budget = req.workload.detailed_insts(scale.detailed_factor());
+            req.configs.iter().map(move |cfg| Grain {
+                store,
+                workload: req.workload,
+                budget,
+                key: grain_key(req.workload, seed, budget, cfg),
+                policy: cfg.to_policy(),
+            })
+        })
+        .collect();
+    let mut metrics = measure_grains(&grains, seed, default_workers()).into_iter();
     requests
         .iter()
         .map(|req| SweepDataset {
-            version: CACHE_VERSION,
-            workload: req.workload.name().to_string(),
-            scale: scale.tag().to_string(),
-            stride: scale.space_stride(),
             configs: req.configs.clone(),
             metrics: metrics.by_ref().take(req.configs.len()).collect(),
         })
         .collect()
-}
-
-/// Load a cached sweep of `configs` for `workload`, or compute and cache
-/// the missing grains. `configs` should already be strided per the
-/// scale. Single-request convenience over [`load_or_compute_sweeps`].
-///
-/// # Panics
-/// Panics on unwritable cache directories.
-#[must_use]
-pub fn load_or_compute_sweep(
-    workload: Workload,
-    configs: &[NvmConfig],
-    scale: Scale,
-    seed: u64,
-) -> SweepDataset {
-    load_or_compute_sweeps(
-        &[SweepRequest {
-            workload,
-            configs: configs.to_vec(),
-        }],
-        scale,
-        seed,
-    )
-    .pop()
-    .expect("one dataset per request")
-}
-
-/// Serve one measurement grain from `store` or run `measure`, recording
-/// the fresh result: the one-item case of
-/// [`GrainStore::get_or_compute_batch`].
-pub fn cached_measurement(
-    store: &GrainStore,
-    key: u64,
-    measure: impl Fn() -> Metrics + Sync,
-) -> Metrics {
-    store.get_or_compute_batch(&[(key, ())], 1, |()| measure())[0]
 }
 
 /// Apply the scale's stride to a configuration list, always retaining the
@@ -756,6 +611,7 @@ pub fn strided_configs(all: &[NvmConfig], scale: Scale) -> Vec<NvmConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::WarmedRig;
     use mct_core::ConfigSpace;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -799,13 +655,13 @@ mod tests {
             energy_j: 0.125,
         };
         {
-            let store = GrainStore::open(path.clone());
+            let store = Store::<Metrics>::open(path.clone());
             assert!(store.is_empty());
             store.record(1, m);
             store.record(2, m);
             assert_eq!(store.len(), 2);
         }
-        let store = GrainStore::open(path);
+        let store = Store::<Metrics>::open(path);
         assert_eq!(store.len(), 2);
         assert_eq!(store.get(1), Some(m));
         assert_eq!(store.get(3), None);
@@ -815,16 +671,14 @@ mod tests {
     fn stale_and_corrupt_lines_are_discarded_not_fatal() {
         let dir = mct_persist::TempDir::new("mct-stale");
         let path = dir.join("grains_test.jsonl");
-        let good = serde_json::to_string(&GrainLine {
-            v: CACHE_VERSION,
-            k: 7,
-            m: Metrics {
+        let good = encode_line(
+            7,
+            &Metrics {
                 ipc: 1.0,
                 lifetime_years: 2.0,
                 energy_j: 3.0,
             },
-        })
-        .expect("serialize");
+        );
         let stale = good.replace(
             &format!("\"v\":{CACHE_VERSION}"),
             &format!("\"v\":{}", CACHE_VERSION - 1),
@@ -834,7 +688,7 @@ mod tests {
         fs::write(&path, format!("{good}\n{stale}\nnot json\n{truncated}")).expect("write fixture");
 
         let before = pipeline_stats().snapshot();
-        let store = GrainStore::open(path);
+        let store = Store::<Metrics>::open(path);
         let after = pipeline_stats().snapshot();
         assert_eq!(store.len(), 1, "only the good line survives");
         assert!(store.get(7).is_some());
@@ -853,7 +707,7 @@ mod tests {
     #[test]
     fn all_hit_batch_never_computes() {
         let dir = mct_persist::TempDir::new("mct-batch-hits");
-        let store = GrainStore::open(dir.join("grains.jsonl"));
+        let store = Store::<Metrics>::open(dir.join("grains.jsonl"));
         for k in 1..=4 {
             store.record(k, metrics_of(k));
         }
@@ -876,7 +730,7 @@ mod tests {
     #[test]
     fn mixed_batch_computes_each_miss_once_in_input_order() {
         let dir = mct_persist::TempDir::new("mct-batch-mixed");
-        let store = GrainStore::open(dir.join("grains.jsonl"));
+        let store = Store::<Metrics>::open(dir.join("grains.jsonl"));
         store.record(1, metrics_of(1));
         store.record(3, metrics_of(3));
         // 2 is requested twice: one compute, the repeat served from it.
@@ -898,24 +752,73 @@ mod tests {
         let derived = dir.join("derived.jsonl");
         let items: Vec<(u64, u64)> = (10..16).map(|k| (k, k)).collect();
         {
-            let store = GrainStore::open(grains.clone());
+            let store = Store::<Metrics>::open(grains.clone());
             store.record(10, metrics_of(10));
             let _ = store.get_or_compute_batch(&items, 2, |&k| metrics_of(k));
-            let store = DerivedStore::open(derived.clone());
+            let store = Store::<Content>::open(derived.clone());
             let _: Vec<Vec<f64>> = store.get_or_compute_batch(&items, 2, |&k| vec![k as f64]);
         }
-        let store = GrainStore::open(grains);
+        let store = Store::<Metrics>::open(grains);
         assert_eq!(store.len(), items.len());
         for (k, _) in &items {
             assert_eq!(store.get(*k), Some(metrics_of(*k)), "grain {k}");
         }
-        let store = DerivedStore::open(derived);
+        let store = Store::<Content>::open(derived);
         for (k, _) in &items {
             assert_eq!(
-                store.get_as::<Vec<f64>>(*k),
-                Some(vec![*k as f64]),
+                store.get(*k),
+                Some(vec![*k as f64].serialize_content()),
                 "derived {k}"
             );
+        }
+    }
+
+    #[test]
+    fn grain_batches_match_serial_rig_measurement_at_any_worker_count() {
+        // A sweep round spanning two workloads, with one config asked for
+        // twice: misses of both workloads share one scheduler round.
+        let scale = Scale::Smoke;
+        let seed = 11;
+        let configs = [
+            NvmConfig::default_config(),
+            NvmConfig::static_baseline(),
+            NvmConfig::default_config(),
+        ];
+        let workloads = [Workload::Stream, Workload::Gups];
+        let serial: Vec<Metrics> = workloads
+            .iter()
+            .flat_map(|&w| {
+                let rig = WarmedRig::new(w, scale, seed);
+                configs.iter().map(move |c| rig.measure(c))
+            })
+            .collect();
+        let dir = mct_persist::TempDir::new("mct-grain-batch");
+        for workers in [1usize, 2] {
+            let stores = workloads.map(|w| {
+                Store::<Metrics>::open(dir.join(&format!("{workers}_{}.jsonl", w.name())))
+            });
+            let grains: Vec<Grain> = workloads
+                .iter()
+                .zip(&stores)
+                .flat_map(|(&w, store)| {
+                    let budget = w.detailed_insts(scale.detailed_factor());
+                    configs.iter().map(move |c| Grain {
+                        store,
+                        workload: w,
+                        budget,
+                        key: grain_key(w, seed, budget, c),
+                        policy: c.to_policy(),
+                    })
+                })
+                .collect();
+            let got = measure_grains(&grains, seed, workers);
+            let bits = |ms: &[Metrics]| -> Vec<[u64; 3]> {
+                ms.iter().map(|m| m.to_array().map(f64::to_bits)).collect()
+            };
+            assert_eq!(bits(&got), bits(&serial), "{workers} workers");
+            assert!(stores.iter().all(|s| s.len() == 2), "one line per grain");
+            let again = measure_grains(&grains, seed, workers);
+            assert_eq!(bits(&again), bits(&serial), "{workers} workers, from cache");
         }
     }
 
@@ -927,12 +830,13 @@ mod tests {
         assert_ne!(key, derived_key("mix/all", 9, &[1.0, 2.0]));
         assert_ne!(key, derived_key("mix/other", 9, &[1.0, 2.5]));
         {
-            let store = DerivedStore::open(path.clone());
-            let v: Vec<f64> = store.get_or_compute(key, || vec![1.0, 2.0, 3.0]);
-            assert_eq!(v, vec![1.0, 2.0, 3.0]);
+            let store = Store::<Content>::open(path.clone());
+            let v = store.get_or_compute_batch(&[(key, ())], 1, |()| vec![1.0, 2.0, 3.0]);
+            assert_eq!(v, [vec![1.0, 2.0, 3.0]]);
         }
-        let store = DerivedStore::open(path);
-        let v: Vec<f64> = store.get_or_compute(key, || panic!("must be served from disk"));
-        assert_eq!(v, vec![1.0, 2.0, 3.0]);
+        let store = Store::<Content>::open(path);
+        let v: Vec<Vec<f64>> =
+            store.get_or_compute_batch(&[(key, ())], 1, |()| panic!("must be served from disk"));
+        assert_eq!(v, [vec![1.0, 2.0, 3.0]]);
     }
 }

@@ -20,9 +20,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::cache::{grain_store, vector_grain_key};
+use crate::cache::{grain_store, measure_grains, vector_grain_key, Grain};
 use crate::report::Table;
-use crate::runner::{shared_rig, EXPERIMENT_SEED};
+use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
 use crate::sched::default_workers;
 
@@ -32,27 +32,24 @@ fn ext_budget(w: Workload, scale: Scale) -> u64 {
     w.detailed_insts(scale.detailed_factor() * 0.7)
 }
 
-/// Measure extended configurations through the grain cache and the
-/// shared warm-rig pool, hits first: only the misses fan out over the
-/// scheduler. Extended vectors are 13-dim, so their grain keys can never
-/// collide with paper-space (7-dim) grains. Results are index-parallel
-/// with `cfgs`.
+/// Measure extended configurations through the same grain batch as the
+/// paper-space sweeps. Extended vectors are 13-dim, so their grain keys
+/// can never collide with paper-space (10-dim) grains. Results are
+/// index-parallel with `cfgs`.
 fn measure_ext(w: Workload, scale: Scale, cfgs: &[ExtendedNvmConfig]) -> Vec<Metrics> {
     let budget = ext_budget(w, scale);
     let store = grain_store(w, scale, EXPERIMENT_SEED);
-    let items: Vec<(u64, ExtendedNvmConfig)> = cfgs
+    let grains: Vec<Grain> = cfgs
         .iter()
-        .map(|c| {
-            (
-                vector_grain_key(w, EXPERIMENT_SEED, budget, &c.to_vector()),
-                *c,
-            )
+        .map(|c| Grain {
+            store: &store,
+            workload: w,
+            budget,
+            key: vector_grain_key(w, EXPERIMENT_SEED, budget, &c.to_vector()),
+            policy: c.to_policy(),
         })
         .collect();
-    let rig = shared_rig(w, EXPERIMENT_SEED, budget);
-    store.get_or_compute_batch(&items, default_workers(), |cfg| {
-        rig.rig().measure_policy(cfg.to_policy())
-    })
+    measure_grains(&grains, EXPERIMENT_SEED, default_workers())
 }
 
 fn tradeoff_curves(scale: Scale, out: &mut dyn Write) -> io::Result<()> {

@@ -148,7 +148,6 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CACHE_VERSION;
     use mct_core::predictor::LIFETIME_CLAMP_YEARS;
     use mct_ml::coefficient_of_determination;
     use mct_sim::stats::Metrics;
@@ -178,10 +177,6 @@ mod tests {
                     })
                     .collect();
                 SweepDataset {
-                    version: CACHE_VERSION,
-                    workload: format!("synthetic{app}"),
-                    scale: "smoke".into(),
-                    stride: 1,
                     configs: configs.clone(),
                     metrics,
                 }

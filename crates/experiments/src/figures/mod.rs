@@ -16,8 +16,10 @@ use mct_core::{Controller, ControllerConfig, MetricsPredictor, ModelKind, Object
 use mct_ml::coefficient_of_determination;
 use mct_workloads::Workload;
 
+use serde::Content;
+
 use crate::cache::{
-    derived_key, derived_store, load_or_compute_sweeps, DerivedStore, SweepDataset, SweepRequest,
+    derived_key, derived_store, load_or_compute_sweeps, Store, SweepDataset, SweepRequest,
 };
 use crate::runner::EXPERIMENT_SEED;
 use crate::scale::Scale;
@@ -107,7 +109,7 @@ impl MctRun {
 #[must_use]
 pub fn mct_outcomes(
     runs: &[MctRun],
-    store: &DerivedStore,
+    store: &Store<Content>,
     seed: u64,
     workers: usize,
 ) -> Vec<Outcome> {

@@ -8,7 +8,7 @@ use std::io::{self, Write};
 use mct_core::{ConfigSpace, Objective};
 use mct_workloads::Workload;
 
-use crate::cache::{load_or_compute_sweep, strided_configs};
+use crate::cache::{load_or_compute_sweeps, strided_configs, SweepRequest};
 use crate::ideal::ideal_for;
 use crate::report::{config_table_header, config_table_row, Table};
 use crate::runner::EXPERIMENT_SEED;
@@ -21,8 +21,13 @@ pub fn run(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         "== Table 4: leslie3d ideal configuration vs lifetime target (scale: {scale}) ==\n"
     )?;
     let space = ConfigSpace::without_wear_quota();
-    let configs = strided_configs(space.configs(), scale);
-    let dataset = load_or_compute_sweep(Workload::Leslie3d, &configs, scale, EXPERIMENT_SEED);
+    let request = SweepRequest {
+        workload: Workload::Leslie3d,
+        configs: strided_configs(space.configs(), scale),
+    };
+    let [dataset] = load_or_compute_sweeps(&[request], scale, EXPERIMENT_SEED)
+        .try_into()
+        .expect("one dataset per request");
 
     let mut table = Table::new(config_table_header());
     let mut metrics_table = Table::new(["target", "ipc", "lifetime_y", "energy_mJ", "feasible"]);

@@ -56,7 +56,6 @@ pub fn ideal_for(dataset: &SweepDataset, objective: &Objective) -> IdealSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CACHE_VERSION;
     use mct_core::ConfigSpace;
 
     fn dataset() -> SweepDataset {
@@ -70,10 +69,6 @@ mod tests {
             })
             .collect();
         SweepDataset {
-            version: CACHE_VERSION,
-            workload: "synthetic".into(),
-            scale: "quick".into(),
-            stride: 1,
             configs: space.configs().to_vec(),
             metrics,
         }

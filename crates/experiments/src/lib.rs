@@ -1,10 +1,10 @@
 //! # mct-experiments — reproducing every table and figure
 //!
-//! The experiment harness behind the paper's evaluation (Section 6): a
-//! brute-force sweep engine over the configuration space (the "ideal
-//! policy" search that cost the authors 300,000 compute-hours, made
-//! tractable here by the event-driven substrate plus warm-state cloning
-//! and on-disk caching), plus one binary per table/figure.
+//! The experiment harness behind the paper's evaluation (Section 6):
+//! brute-force sweeps over the configuration space (the "ideal policy"
+//! search that cost the authors 300,000 compute-hours, made tractable
+//! here by the event-driven substrate, warm-state cloning and a per-grain
+//! on-disk cache), plus one binary per table/figure.
 //!
 //! Binaries (`cargo run --release -p mct-experiments --bin <name> [--scale quick|full]`):
 //!
@@ -40,15 +40,10 @@ pub mod runner;
 pub mod scale;
 pub mod sched;
 
-pub use cache::{
-    load_or_compute_sweep, load_or_compute_sweeps, SweepDataset, SweepRequest, CACHE_VERSION,
-};
+pub use cache::{load_or_compute_sweeps, SweepDataset, SweepRequest, CACHE_VERSION};
 pub use ideal::{ideal_for, IdealSearch};
 pub use mix_mct::{run_mix_all, run_mix_mct};
 pub use report::{fmt_cell, Table};
-pub use runner::{
-    measure_one, par_map, shared_rig, sweep, sweep_with_threads, RigCell, WarmedRig,
-    EXPERIMENT_SEED,
-};
+pub use runner::{shared_rig, RigCell, WarmedRig, EXPERIMENT_SEED};
 pub use scale::Scale;
 pub use sched::{default_workers, run_grains};

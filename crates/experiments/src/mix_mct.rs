@@ -16,9 +16,8 @@ use mct_sim::stats::Metrics;
 use mct_sim::system::{MultiSystem, SystemConfig};
 use mct_workloads::{Mix, WorkloadSource};
 
-use crate::runner::par_map;
 use crate::scale::Scale;
-use crate::sched::default_workers;
+use crate::sched::{default_workers, run_grains};
 
 /// Which policy a mix run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +134,7 @@ fn run_on_rig(
             let measured: Vec<(NvmConfig, Metrics)> = samples
                 .iter()
                 .copied()
-                .zip(par_map(&samples, default_workers(), |c| {
+                .zip(run_grains(&samples, default_workers(), |c| {
                     rig.measure(c, unit).0
                 }))
                 .collect();

@@ -1,11 +1,14 @@
-//! The sweep engine: measure one configuration, or brute-force many.
+//! Warm rigs: the per-configuration measurement every sweep grain runs.
 //!
 //! Warm-state cloning makes the "ideal policy" search tractable: each
 //! workload is warmed once under the default policy, then the warmed
 //! system (and the workload source position) is cloned per candidate
 //! configuration, so the per-configuration cost is just the detailed
 //! window. All candidates therefore measure over exactly the same access
-//! stream — the paper's per-benchmark methodology.
+//! stream — the paper's per-benchmark methodology. The grain cache
+//! ([`crate::cache`]) fans measurements out over the scheduler and
+//! shares one warm rig per (workload, seed, budget) through
+//! [`shared_rig`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -15,7 +18,6 @@ use mct_core::NvmConfig;
 use mct_sim::rigset::{RigSet, DEFAULT_SLICE_INSTS};
 use mct_sim::stats::Metrics;
 use mct_sim::system::{System, SystemConfig};
-use mct_sim::trace::AccessSource;
 use mct_telemetry::pipeline_stats;
 use mct_workloads::{Workload, WorkloadSource};
 
@@ -99,14 +101,6 @@ impl WarmedRig {
     /// same event sequence in the same order.
     #[must_use]
     pub fn measure_batch(&self, cfgs: &[NvmConfig]) -> Vec<Metrics> {
-        self.measure_batch_with_slice(cfgs, DEFAULT_SLICE_INSTS)
-    }
-
-    /// [`WarmedRig::measure_batch`] with an explicit interleave slice
-    /// (benchmarks tune it; results are slice-independent by the rig-set
-    /// bit-identity argument).
-    #[must_use]
-    pub fn measure_batch_with_slice(&self, cfgs: &[NvmConfig], slice_insts: u64) -> Vec<Metrics> {
         if cfgs.is_empty() {
             return Vec::new();
         }
@@ -126,7 +120,7 @@ impl WarmedRig {
         stats.add_clone_us(t0.elapsed().as_micros() as u64);
         let mut src = self.src.clone();
         let mut set = RigSet::new(systems);
-        set.run_window_shared(&mut src, self.detailed_insts, slice_insts);
+        set.run_window_shared(&mut src, self.detailed_insts, DEFAULT_SLICE_INSTS);
         set.into_systems()
             .into_iter()
             .map(|mut sys| sys.finalize().metrics())
@@ -221,88 +215,6 @@ pub fn shared_rig(workload: Workload, seed: u64, detailed_insts: u64) -> Arc<Rig
     cell
 }
 
-/// Measure a single configuration on a workload (fresh warmup).
-#[must_use]
-pub fn measure_one(workload: Workload, cfg: &NvmConfig, scale: Scale, seed: u64) -> Metrics {
-    WarmedRig::new(workload, scale, seed).measure(cfg)
-}
-
-/// Map `f` over `items` on `threads` worker threads, preserving input
-/// order in the output.
-///
-/// Since the scheduler rework this is a thin alias for
-/// [`crate::sched::run_grains`]: items are dealt round-robin to
-/// per-worker deques and idle workers steal the back half of a victim's
-/// queue, so a run of slow items cannot strand work on one core. No
-/// slot can be skipped — every grain is executed exactly once, a
-/// panicking worker propagates through [`std::thread::scope`], and the
-/// index-keyed reassembly makes output order (and every downstream
-/// figure) independent of scheduling.
-///
-/// # Panics
-/// Propagates any panic raised by `f`.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    crate::sched::run_grains(items, threads, f)
-}
-
-/// Brute-force sweep: metrics for every configuration in `configs`,
-/// parallelized over [`crate::sched::default_workers`] threads.
-#[must_use]
-pub fn sweep(workload: Workload, configs: &[NvmConfig], scale: Scale, seed: u64) -> Vec<Metrics> {
-    sweep_with_threads(
-        workload,
-        configs,
-        scale,
-        seed,
-        crate::sched::default_workers(),
-    )
-}
-
-/// How many candidate configs one worker grain drives through a shared
-/// [`RigSet`] event loop. Larger batches amortize event generation over
-/// more candidates but coarsen the work-stealing grain.
-const SWEEP_RIG_BATCH: usize = 8;
-
-/// [`sweep`] with an explicit worker count (determinism tests compare
-/// thread counts; production callers use [`sweep`]).
-///
-/// Workers are handed [`RigSet`] batches of [`SWEEP_RIG_BATCH`] configs
-/// rather than single configs: each grain interleaves its candidates
-/// through one event loop ([`WarmedRig::measure_batch`]), generating the
-/// shared trace once per batch instead of once per candidate. Batches
-/// partition `configs` in order and each batch's results come back in
-/// order, so output order — and, since `measure_batch` is bit-identical
-/// to `measure`, every metric bit — is unchanged from the per-config
-/// sweep at any thread count.
-#[must_use]
-pub fn sweep_with_threads(
-    workload: Workload,
-    configs: &[NvmConfig],
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-) -> Vec<Metrics> {
-    let rig = WarmedRig::new(workload, scale, seed);
-    let batches: Vec<&[NvmConfig]> = configs.chunks(SWEEP_RIG_BATCH).collect();
-    par_map(&batches, threads, |batch| rig.measure_batch(batch))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// A tiny helper for replaying the shared stream through an arbitrary
-/// source type in tests.
-pub fn run_detailed<S: AccessSource>(sys: &mut System, src: &mut S, insts: u64) -> Metrics {
-    sys.reset_stats();
-    sys.run_window(src, insts);
-    sys.finalize().metrics()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,40 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order_for_all_shapes() {
-        // Regression for the zeroed-row bug: lengths that leave ragged
-        // tail chunks must still fill every output slot, in input order.
-        for n in [1usize, 2, 3, 7, 13, 64, 100] {
-            for threads in [1usize, 2, 3, 8, 200] {
-                let items: Vec<usize> = (0..n).collect();
-                let got = par_map(&items, threads, |&x| x * 2 + 1);
-                let want: Vec<usize> = items.iter().map(|&x| x * 2 + 1).collect();
-                assert_eq!(got, want, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_empty_input_yields_empty_output() {
-        let empty: [u32; 0] = [];
-        assert!(par_map(&empty, 4, |&x| x).is_empty());
-    }
-
-    #[test]
-    fn par_map_propagates_worker_panics() {
-        // A panicking worker must fail the whole call — never return a
-        // partially-zeroed result vector.
-        let items: Vec<u32> = (0..32).collect();
-        let result = std::panic::catch_unwind(|| {
-            par_map(&items, 4, |&x| {
-                assert!(x != 17, "injected failure");
-                x
-            })
-        });
-        assert!(result.is_err(), "panic must propagate to the caller");
-    }
-
-    #[test]
     fn measure_batch_matches_measure_bit_for_bit() {
         // Ragged batch sizes included: the interleaved rig-set pass must
         // reproduce the sequential per-config measurement exactly.
@@ -388,19 +266,5 @@ mod tests {
             }
         }
         assert!(rig.measure_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn sweep_matches_individual_measurements() {
-        let configs = vec![
-            NvmConfig::default_config(),
-            NvmConfig::static_baseline(),
-            NvmConfig::static_baseline().without_wear_quota(),
-        ];
-        let rig = WarmedRig::new(Workload::Gups, Scale::Quick, 2);
-        let swept = sweep(Workload::Gups, &configs, Scale::Quick, 2);
-        for (cfg, m) in configs.iter().zip(&swept) {
-            assert_eq!(*m, rig.measure(cfg));
-        }
     }
 }

@@ -80,12 +80,6 @@ pub fn workers_plan(env: Option<&str>) -> WorkersPlan {
     }
 }
 
-/// The worker count alone, fallback reason discarded (legacy callers).
-#[must_use]
-pub fn workers_from(env: Option<&str>) -> usize {
-    workers_plan(env).workers
-}
-
 /// Run `f` over every item on `workers` work-stealing threads and
 /// return the results in input order.
 ///
@@ -219,29 +213,24 @@ mod tests {
     }
 
     #[test]
-    fn workers_from_env_parsing() {
-        assert_eq!(workers_from(Some("3")), 3);
-        assert_eq!(workers_from(Some("1")), 1);
-        let fallback = workers_from(None);
-        assert!(fallback >= 1);
-        assert_eq!(workers_from(Some("0")), fallback, "zero is rejected");
-        assert_eq!(workers_from(Some("lots")), fallback, "junk is rejected");
-    }
-
-    #[test]
     fn workers_plan_reports_why_garbage_was_rejected() {
-        // Clean values carry no reason.
+        // Clean values are taken as given and carry no reason.
+        assert_eq!(workers_plan(Some("3")).workers, 3);
+        assert_eq!(workers_plan(Some("1")).workers, 1);
         assert_eq!(workers_plan(Some("4")).fallback_reason, None);
         assert_eq!(
             workers_plan(Some(" 2 ")).workers,
             2,
             "whitespace is tolerated"
         );
-        assert_eq!(workers_plan(None).fallback_reason, None);
-        // Garbage falls back loudly, naming the offending value.
+        let unset = workers_plan(None);
+        assert_eq!(unset.fallback_reason, None);
+        assert!(unset.workers >= 1);
+        // Garbage falls back loudly to the machine's parallelism, naming
+        // the offending value.
         for bad in ["0", "-3", "lots", "", "1.5"] {
             let plan = workers_plan(Some(bad));
-            assert!(plan.workers >= 1);
+            assert_eq!(plan.workers, unset.workers, "{bad:?} is rejected");
             let reason = plan
                 .fallback_reason
                 .unwrap_or_else(|| panic!("MCT_WORKERS={bad:?} must produce a fallback reason"));

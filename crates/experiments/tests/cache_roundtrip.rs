@@ -10,8 +10,9 @@ use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mct_core::NvmConfig;
-use mct_experiments::cache::{cached_measurement, grain_key, GrainStore};
-use mct_experiments::{measure_one, Scale, EXPERIMENT_SEED};
+use mct_experiments::cache::{grain_key, Store};
+use mct_experiments::{Scale, WarmedRig, EXPERIMENT_SEED};
+use mct_sim::stats::Metrics;
 use mct_workloads::Workload;
 
 #[test]
@@ -27,16 +28,20 @@ fn cache_hit_is_bit_identical_and_corruption_is_survivable() {
     let cfg = NvmConfig::default_config();
     let budget = workload.detailed_insts(scale.detailed_factor());
     let key = grain_key(workload, EXPERIMENT_SEED, budget, &cfg);
+    let measure = || WarmedRig::new(workload, scale, EXPERIMENT_SEED).measure(&cfg);
+    let cached = |store: &Store<Metrics>, compute: &(dyn Fn() -> Metrics + Sync)| {
+        store.get_or_compute_batch(&[(key, ())], 1, |()| compute())[0]
+    };
 
     // Populate the store through the miss path, then measure fresh.
-    let store = GrainStore::open(path.clone());
+    let store = Store::<Metrics>::open(path.clone());
     let computes = AtomicUsize::new(0);
-    let first = cached_measurement(&store, key, || {
+    let first = cached(&store, &|| {
         computes.fetch_add(1, Ordering::SeqCst);
-        measure_one(workload, &cfg, scale, EXPERIMENT_SEED)
+        measure()
     });
     assert_eq!(computes.load(Ordering::SeqCst), 1, "first call must miss");
-    let fresh = measure_one(workload, &cfg, scale, EXPERIMENT_SEED);
+    let fresh = measure();
     assert_eq!(first.ipc.to_bits(), fresh.ipc.to_bits());
     assert_eq!(
         first.lifetime_years.to_bits(),
@@ -46,9 +51,9 @@ fn cache_hit_is_bit_identical_and_corruption_is_survivable() {
 
     // Reopen from disk (not the in-memory map): the persisted entry must
     // hit, skip the compute, and stay bit-identical.
-    let reopened = GrainStore::open(path.clone());
+    let reopened = Store::<Metrics>::open(path.clone());
     assert_eq!(reopened.len(), 1, "one persisted grain expected");
-    let hit = cached_measurement(&reopened, key, || {
+    let hit = cached(&reopened, &|| {
         panic!("persisted entry must satisfy the lookup")
     });
     assert_eq!(hit.ipc.to_bits(), fresh.ipc.to_bits());
@@ -64,12 +69,12 @@ fn cache_hit_is_bit_identical_and_corruption_is_survivable() {
     write!(f, "{truncated}\nnot json at all\n{{\"version\":1}}\n").expect("write corruption");
     drop(f);
 
-    let corrupted = GrainStore::open(path.clone());
+    let corrupted = Store::<Metrics>::open(path.clone());
     assert!(corrupted.is_empty(), "corrupt lines must be discarded");
     let computes = AtomicUsize::new(0);
-    let remeasured = cached_measurement(&corrupted, key, || {
+    let remeasured = cached(&corrupted, &|| {
         computes.fetch_add(1, Ordering::SeqCst);
-        measure_one(workload, &cfg, scale, EXPERIMENT_SEED)
+        measure()
     });
     assert_eq!(
         computes.load(Ordering::SeqCst),
@@ -84,7 +89,7 @@ fn cache_hit_is_bit_identical_and_corruption_is_survivable() {
     assert_eq!(remeasured.energy_j.to_bits(), fresh.energy_j.to_bits());
 
     // The re-measurement was re-recorded: a final reopen hits again.
-    let healed = GrainStore::open(path);
+    let healed = Store::<Metrics>::open(path);
     assert_eq!(
         healed.get(key).map(|m| m.ipc.to_bits()),
         Some(fresh.ipc.to_bits())

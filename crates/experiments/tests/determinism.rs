@@ -1,13 +1,14 @@
 //! Parallel sweeps must be bit-identical to a serial measurement loop.
 //!
-//! The sweep engine hands disjoint `&mut` result chunks to scoped
-//! threads; nothing about scheduling may leak into the physics. This
-//! test measures 64+ configurations serially on one warmed rig, then
-//! replays the same sweep at several worker counts and demands
+//! A sweep grain is one [`WarmedRig::measure`] call dealt out by the
+//! work-stealing scheduler ([`run_grains`]) — the per-grain work the
+//! pipeline runs on every cache miss. Nothing about scheduling may leak
+//! into the physics: these tests measure configurations serially on one
+//! warmed rig, replay them at several worker counts, and demand
 //! bit-for-bit equal metrics.
 
 use mct_core::{ConfigSpace, NvmConfig};
-use mct_experiments::{par_map, sweep_with_threads, Scale, WarmedRig, EXPERIMENT_SEED};
+use mct_experiments::{run_grains, Scale, WarmedRig, EXPERIMENT_SEED};
 use mct_sim::FaultPlan;
 use mct_workloads::Workload;
 
@@ -28,18 +29,15 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         .collect();
     assert!(configs.len() >= 64, "need at least 64 configurations");
 
-    // The reference: one warmed rig, measured strictly serially.
+    // The reference: one warmed rig, measured strictly serially. The
+    // parallel side gets a rig warmed on its own, as the pipeline's
+    // shared rig pool warms one.
     let rig = WarmedRig::new(Workload::Gups, Scale::Quick, EXPERIMENT_SEED);
     let serial: Vec<_> = configs.iter().map(|c| rig.measure(c)).collect();
+    let pooled = WarmedRig::new(Workload::Gups, Scale::Quick, EXPERIMENT_SEED);
 
     for threads in [1usize, 2, 3, 8] {
-        let par = sweep_with_threads(
-            Workload::Gups,
-            &configs,
-            Scale::Quick,
-            EXPERIMENT_SEED,
-            threads,
-        );
+        let par = run_grains(&configs, threads, |c| pooled.measure(c));
         assert_eq!(par.len(), serial.len(), "threads={threads}");
         for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
             assert_eq!(
@@ -57,58 +55,6 @@ fn parallel_sweep_is_bit_identical_to_serial() {
                 b.energy_j.to_bits(),
                 "energy differs at config {i} with {threads} threads"
             );
-        }
-    }
-}
-
-/// The interleaved rig-set loop's contract, differential form: sweeps
-/// whose config counts leave ragged trailing batches (smaller than the
-/// rig-set batch size) must still be bit-identical to the serial
-/// per-config loop at every worker count. Sizes 3 and 5 exercise a
-/// single short batch; 19 exercises full batches plus a short tail.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "slow in debug builds; CI runs this suite under --release"
-)]
-fn ragged_rig_set_batches_sweep_bit_identical_to_serial() {
-    let space = ConfigSpace::without_wear_quota();
-    let stride = (space.len() / 19).max(1);
-    let configs: Vec<NvmConfig> = space
-        .configs()
-        .iter()
-        .step_by(stride)
-        .take(19)
-        .copied()
-        .collect();
-    let rig = WarmedRig::new(Workload::Stream, Scale::Quick, EXPERIMENT_SEED);
-    for n in [3usize, 5, 19] {
-        let serial: Vec<_> = configs[..n].iter().map(|c| rig.measure(c)).collect();
-        for threads in [1usize, 2, 8] {
-            let par = sweep_with_threads(
-                Workload::Stream,
-                &configs[..n],
-                Scale::Quick,
-                EXPERIMENT_SEED,
-                threads,
-            );
-            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-                assert_eq!(
-                    a.ipc.to_bits(),
-                    b.ipc.to_bits(),
-                    "ipc differs at config {i} with n={n} threads={threads}"
-                );
-                assert_eq!(
-                    a.lifetime_years.to_bits(),
-                    b.lifetime_years.to_bits(),
-                    "lifetime differs at config {i} with n={n} threads={threads}"
-                );
-                assert_eq!(
-                    a.energy_j.to_bits(),
-                    b.energy_j.to_bits(),
-                    "energy differs at config {i} with n={n} threads={threads}"
-                );
-            }
         }
     }
 }
@@ -140,8 +86,8 @@ fn armed_empty_fault_plan_sweeps_bit_identical_to_unarmed() {
     armed.arm_faults(&FaultPlan::empty(42));
 
     for threads in [1usize, 2, 8] {
-        let base = par_map(&configs, threads, |c| unarmed.measure(c));
-        let faulted = par_map(&configs, threads, |c| armed.measure(c));
+        let base = run_grains(&configs, threads, |c| unarmed.measure(c));
+        let faulted = run_grains(&configs, threads, |c| armed.measure(c));
         for (i, (a, b)) in base.iter().zip(&faulted).enumerate() {
             assert_eq!(
                 a.ipc.to_bits(),
@@ -218,7 +164,7 @@ fn persistence_observation_is_bit_invisible() {
 )]
 fn controller_run_fan_out_is_bit_identical_to_serial() {
     use mct_core::{Controller, ControllerConfig, ModelKind, Objective};
-    use mct_experiments::cache::DerivedStore;
+    use mct_experiments::cache::Store;
     use mct_experiments::figures::{mct_outcomes, MctRun};
 
     let runs: Vec<MctRun> = [
@@ -249,7 +195,7 @@ fn controller_run_fan_out_is_bit_identical_to_serial() {
 
     for workers in [1usize, 2] {
         let dir = mct_persist::TempDir::new("mct-determinism-fan-out");
-        let store = DerivedStore::open(dir.join("derived.jsonl"));
+        let store = Store::<serde::Content>::open(dir.join("derived.jsonl"));
         let fanned = mct_outcomes(&runs, &store, EXPERIMENT_SEED, workers);
         assert_eq!(fanned.len(), serial.len());
         for (i, (a, b)) in serial.iter().zip(&fanned).enumerate() {

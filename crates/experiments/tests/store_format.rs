@@ -10,10 +10,11 @@ use std::fs;
 use std::path::Path;
 
 use mct_core::NvmConfig;
-use mct_experiments::cache::{DerivedStore, GrainStore};
+use mct_experiments::cache::Store;
 use mct_experiments::mix_mct::MixOutcome;
 use mct_sim::stats::Metrics;
 use mct_telemetry::pipeline_stats;
+use serde::Content;
 
 #[test]
 fn committed_grain_stores_load_every_line() {
@@ -40,7 +41,7 @@ fn committed_grain_stores_load_every_line() {
             .lines()
             .filter(|l| !l.trim().is_empty())
             .count();
-        let store = GrainStore::open(path.clone());
+        let store = Store::<Metrics>::open(path.clone());
         assert_eq!(store.len(), lines, "{}: one entry per line", path.display());
     }
     let after = pipeline_stats().snapshot();
@@ -56,7 +57,7 @@ fn store_lines_keep_their_exact_bytes() {
     let dir = mct_persist::TempDir::new("mct-store-format");
 
     let grains = dir.join("grains.jsonl");
-    let store = GrainStore::open(grains.clone());
+    let store = Store::<Metrics>::open(grains.clone());
     let _ = store.get_or_compute_batch(&[(u64::MAX - 6, ())], 1, |()| Metrics {
         ipc: 0.661_722_261_899_760_6,
         lifetime_years: 8.0,
@@ -69,7 +70,7 @@ fn store_lines_keep_their_exact_bytes() {
     );
 
     let derived = dir.join("derived.jsonl");
-    let store = DerivedStore::open(derived.clone());
+    let store = Store::<Content>::open(derived.clone());
     let _ = store.get_or_compute_batch(&[(42, ())], 1, |()| MixOutcome {
         geomean_ipc: 1.25,
         lifetime_years: 9.5,

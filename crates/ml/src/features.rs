@@ -38,8 +38,7 @@ pub fn quadratic_feature_names(base: &[&str]) -> Vec<String> {
     out
 }
 
-/// A reusable expander (implements the row-mapping closure shape used by
-/// [`crate::Dataset::map_features`]).
+/// Dimension bookkeeping for [`quadratic_expand`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuadraticExpander;
 
@@ -48,12 +47,6 @@ impl QuadraticExpander {
     #[must_use]
     pub fn expanded_dim(d: usize) -> usize {
         2 * d + d * (d - 1) / 2
-    }
-
-    /// Expand one row.
-    #[must_use]
-    pub fn expand(&self, row: &[f64]) -> Vec<f64> {
-        quadratic_expand(row)
     }
 }
 

@@ -406,15 +406,6 @@ impl FrontEnd {
         }
     }
 
-    /// Build from explicit configs.
-    #[must_use]
-    pub fn with_configs(l1: CacheConfig, l2: CacheConfig) -> FrontEnd {
-        FrontEnd {
-            l1: Cache::new(l1),
-            l2: Cache::new(l2),
-        }
-    }
-
     /// Filter one CPU access; returns the accesses that reach the LLC
     /// (demand miss and/or L2 dirty eviction), at most two.
     pub fn filter(&mut self, line: u64, kind: AccessKind) -> Vec<(u64, AccessKind)> {
