@@ -423,14 +423,14 @@ fn pooled<V: StoreValue>(path: PathBuf) -> Arc<Store<V>> {
 /// The shared grain store for (workload, scale, seed) under the current
 /// data dir.
 #[must_use]
-pub fn grain_store(workload: Workload, scale: Scale, seed: u64) -> Arc<Store<Metrics>> {
+pub(crate) fn grain_store(workload: Workload, scale: Scale, seed: u64) -> Arc<Store<Metrics>> {
     pooled(grain_store_path(&data_dir(), workload, scale, seed))
 }
 
 /// The shared derived-result store for (scale, seed) under the current
 /// data dir.
 #[must_use]
-pub fn derived_store(scale: Scale, seed: u64) -> Arc<Store<Content>> {
+pub(crate) fn derived_store(scale: Scale, seed: u64) -> Arc<Store<Content>> {
     pooled(derived_store_path(&data_dir(), scale, seed))
 }
 
@@ -474,18 +474,19 @@ pub struct SweepRequest {
     pub configs: Vec<NvmConfig>,
 }
 
-/// One simulator measurement: `policy` on `workload`'s warm rig over a
+/// One simulator measurement: `config` on `workload`'s warm rig over a
 /// `budget`-instruction detailed window, cached in `store` under `key`.
-pub(crate) struct Grain<'a> {
+pub(crate) struct Grain<'a, C> {
     pub(crate) store: &'a Store<Metrics>,
     pub(crate) workload: Workload,
     pub(crate) budget: u64,
     pub(crate) key: u64,
-    pub(crate) policy: MellowPolicy,
+    pub(crate) config: &'a C,
 }
 
-/// Serve every grain from its store or measure it — the one path every
-/// simulator measurement of the pipeline takes. Hits are served first;
+/// Serve every grain from its store or measure it under
+/// `policy(config)` — the one path every simulator measurement of the
+/// pipeline takes. Hits are served first;
 /// the misses of *all* grains, whatever their workload, run in one
 /// work-stealing round ([`crate::sched::run_grains`]) on `workers`
 /// threads, so a figure needing ten workloads keeps every core busy
@@ -495,7 +496,12 @@ pub(crate) struct Grain<'a> {
 /// Results are index-parallel with `grains`, and bit-identical whether
 /// served from cache or measured fresh (measurement is deterministic per
 /// grain and JSON round-trips f64s exactly).
-pub(crate) fn measure_grains(grains: &[Grain], seed: u64, workers: usize) -> Vec<Metrics> {
+pub(crate) fn measure_grains<C: Sync>(
+    grains: &[Grain<C>],
+    seed: u64,
+    workers: usize,
+    policy: impl Fn(&C) -> MellowPolicy + Sync,
+) -> Vec<Metrics> {
     let batch = HitsFirst::plan(grains, |g| g.key, |g| g.store.get(g.key));
 
     // One warm-rig cell per (workload, budget) with a miss, pre-warmed in
@@ -538,7 +544,7 @@ pub(crate) fn measure_grains(grains: &[Grain], seed: u64, workers: usize) -> Vec
             .iter()
             .find(|(id, _)| *id == (g.workload, g.budget))
             .expect("a rig per missing grain");
-        let m = rig.rig().measure_policy(g.policy.clone());
+        let m = rig.rig().measure_policy(policy(g.config));
         g.store.record(g.key, m);
         m
     });
@@ -565,21 +571,22 @@ pub fn load_or_compute_sweeps(
         .iter()
         .map(|req| grain_store(req.workload, scale, seed))
         .collect();
-    let grains: Vec<Grain> = requests
+    let grains: Vec<Grain<NvmConfig>> = requests
         .iter()
         .zip(&stores)
         .flat_map(|(req, store)| {
             let budget = req.workload.detailed_insts(scale.detailed_factor());
-            req.configs.iter().map(move |cfg| Grain {
+            req.configs.iter().map(move |config| Grain {
                 store,
                 workload: req.workload,
                 budget,
-                key: grain_key(req.workload, seed, budget, cfg),
-                policy: cfg.to_policy(),
+                key: grain_key(req.workload, seed, budget, config),
+                config,
             })
         })
         .collect();
-    let mut metrics = measure_grains(&grains, seed, default_workers()).into_iter();
+    let mut metrics =
+        measure_grains(&grains, seed, default_workers(), NvmConfig::to_policy).into_iter();
     requests
         .iter()
         .map(|req| SweepDataset {
@@ -797,27 +804,27 @@ mod tests {
             let stores = workloads.map(|w| {
                 Store::<Metrics>::open(dir.join(&format!("{workers}_{}.jsonl", w.name())))
             });
-            let grains: Vec<Grain> = workloads
+            let grains: Vec<Grain<NvmConfig>> = workloads
                 .iter()
                 .zip(&stores)
                 .flat_map(|(&w, store)| {
                     let budget = w.detailed_insts(scale.detailed_factor());
-                    configs.iter().map(move |c| Grain {
+                    configs.iter().map(move |config| Grain {
                         store,
                         workload: w,
                         budget,
-                        key: grain_key(w, seed, budget, c),
-                        policy: c.to_policy(),
+                        key: grain_key(w, seed, budget, config),
+                        config,
                     })
                 })
                 .collect();
-            let got = measure_grains(&grains, seed, workers);
+            let got = measure_grains(&grains, seed, workers, NvmConfig::to_policy);
             let bits = |ms: &[Metrics]| -> Vec<[u64; 3]> {
                 ms.iter().map(|m| m.to_array().map(f64::to_bits)).collect()
             };
             assert_eq!(bits(&got), bits(&serial), "{workers} workers");
             assert!(stores.iter().all(|s| s.len() == 2), "one line per grain");
-            let again = measure_grains(&grains, seed, workers);
+            let again = measure_grains(&grains, seed, workers, NvmConfig::to_policy);
             assert_eq!(bits(&again), bits(&serial), "{workers} workers, from cache");
         }
     }

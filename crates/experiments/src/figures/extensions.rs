@@ -39,17 +39,22 @@ fn ext_budget(w: Workload, scale: Scale) -> u64 {
 fn measure_ext(w: Workload, scale: Scale, cfgs: &[ExtendedNvmConfig]) -> Vec<Metrics> {
     let budget = ext_budget(w, scale);
     let store = grain_store(w, scale, EXPERIMENT_SEED);
-    let grains: Vec<Grain> = cfgs
+    let grains: Vec<Grain<ExtendedNvmConfig>> = cfgs
         .iter()
-        .map(|c| Grain {
+        .map(|config| Grain {
             store: &store,
             workload: w,
             budget,
-            key: vector_grain_key(w, EXPERIMENT_SEED, budget, &c.to_vector()),
-            policy: c.to_policy(),
+            key: vector_grain_key(w, EXPERIMENT_SEED, budget, &config.to_vector()),
+            config,
         })
         .collect();
-    measure_grains(&grains, EXPERIMENT_SEED, default_workers())
+    measure_grains(
+        &grains,
+        EXPERIMENT_SEED,
+        default_workers(),
+        ExtendedNvmConfig::to_policy,
+    )
 }
 
 fn tradeoff_curves(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
