@@ -35,7 +35,7 @@ fn bench_scheduler(c: &mut Criterion) {
 }
 
 /// Cache-key derivation: raw FNV-1a over 64 bytes, and a full grain key
-/// (workload + seed + budget + 7-dim config) — both sit on every cache
+/// (workload + seed + budget + 10-dim config) — both sit on every cache
 /// lookup in the pipeline.
 fn bench_keys(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_keys");
